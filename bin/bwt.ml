@@ -31,11 +31,11 @@ let run_stream which format p =
 
 (* Streaming optimisation: interpose the windowed peephole transformer
    between generation and the counting sinks, tee-ing unoptimized
-   before-counters off the same single pass. The report layout matches
-   [Passes.optimize_and_report] followed by the gatecount branch, so at
-   parameters where the window covers what the materialized fixpoint
-   finds, the output is byte-identical to [-O] without [--stream] —
-   while memory stays O(window) however large [s] is. *)
+   before-counters off the same single pass. The report is
+   [Passes.report] followed by the gatecount branch, as in materialized
+   [-O], so at parameters where the window covers what the whole-circuit
+   fixpoint finds, the output is byte-identical to [-O] without
+   [--stream] — while memory stays O(window) however large [s] is. *)
 let run_stream_opt which format p verbose =
   let module Stream_opt = Quipper_opt.Stream_opt in
   (match format with
@@ -60,12 +60,10 @@ let run_stream_opt which format p verbose =
   let ((before, depth_before), (after, depth_after)), _ =
     Circ.run_streaming_unit circ sink
   in
-  Fmt.pr "Before optimisation:@\n%a@\n" Gatecount.pp_summary before;
-  if verbose then Fmt.pr "%a@." Stream_opt.pp_stats st;
-  Fmt.pr "After optimisation:@\n%a@\n" Gatecount.pp_summary after;
-  Fmt.pr "Optimizer: removed %d of %d logical gates; depth %d -> %d@."
-    (before.Gatecount.total_logical - after.Gatecount.total_logical)
-    before.Gatecount.total_logical depth_before depth_after;
+  let details ppf = Fmt.pf ppf "%a@." Stream_opt.pp_stats st in
+  Quipper_opt.Passes.report
+    ?details:(if verbose then Some details else None)
+    Fmt.stdout ~before:(before, depth_before) ~after:(after, depth_after);
   Fmt.pr "%a@." Gatecount.pp_summary after;
   0
 
@@ -236,7 +234,7 @@ let optimize_arg =
 let verbose_arg =
   Arg.(
     value & flag
-    & info [ "v"; "verbose" ] ~doc:"With $(b,-O), also print per-pass statistics.")
+    & info [ "v"; "verbose" ] ~doc:"With $(b,-O), also print per-round statistics (with $(b,--stream), the per-rule counters).")
 
 let stream_arg =
   Arg.(

@@ -90,8 +90,8 @@ let run_stream ~subroutine ~oracle_only ~p =
 (* Streaming optimisation: the windowed peephole transformer between
    generation and the report sinks, unoptimized before-counters teed off
    the same pass. Report layout matches materialized [-O] (the
-   [Passes.optimize_and_report] block, then the per-box/summary/depth
-   gatecount report of the optimized circuit). *)
+   [Passes.report] block, then the per-box/summary/depth gatecount
+   report of the optimized circuit). *)
 let run_stream_opt ~subroutine ~oracle_only ~p ~verbose =
   let module Stream_opt = Quipper_opt.Stream_opt in
   let st = Stream_opt.stats_create () in
@@ -102,12 +102,10 @@ let run_stream_opt ~subroutine ~oracle_only ~p ~verbose =
          (Sink.tee3 (Sink.subroutines ()) (Sink.gatecount ()) (Sink.depth ())))
   in
   let report ((before, depth_before), ((subs, sub_order), after, depth_after)) =
-    Fmt.pr "Before optimisation:@\n%a@\n" Gatecount.pp_summary before;
-    if verbose then Fmt.pr "%a@." Stream_opt.pp_stats st;
-    Fmt.pr "After optimisation:@\n%a@\n" Gatecount.pp_summary after;
-    Fmt.pr "Optimizer: removed %d of %d logical gates; depth %d -> %d@."
-      (before.Gatecount.total_logical - after.Gatecount.total_logical)
-      before.Gatecount.total_logical depth_before depth_after;
+    let details ppf = Fmt.pf ppf "%a@." Stream_opt.pp_stats st in
+    Quipper_opt.Passes.report
+      ?details:(if verbose then Some details else None)
+      Fmt.stdout ~before:(before, depth_before) ~after:(after, depth_after);
     pp_per_subroutine subs sub_order;
     Fmt.pr "%a" Gatecount.pp_summary after;
     Fmt.pr "Depth (upper bound): %d@." depth_after
@@ -327,7 +325,7 @@ let optimize_arg =
 let verbose_arg =
   Arg.(
     value & flag
-    & info [ "v"; "verbose" ] ~doc:"With $(b,-O), also print per-pass statistics.")
+    & info [ "v"; "verbose" ] ~doc:"With $(b,-O), also print per-round statistics (with $(b,--stream), the per-rule counters).")
 
 let gate_base =
   Arg.(

@@ -59,11 +59,8 @@ let apply (rule : rule) (b : Circuit.b) : Circuit.b =
   in
   { b with Circuit.main; subs }
 
-(** Apply a whole-circuit function to the main circuit and every
-    subroutine body — the hierarchical-application combinator shared by
-    the peephole pass below and the optimizer subsystem's pass manager
-    ([lib/opt]), whose passes need to see a whole [Circuit.t] (their
-    rewrites look across gates) rather than one gate at a time. *)
+(* Apply a whole-circuit function (which must preserve each circuit's
+   input/output arity) to the main circuit and every subroutine body. *)
 let map_circuits (f : Circuit.t -> Circuit.t) (b : Circuit.b) : Circuit.b =
   {
     b with

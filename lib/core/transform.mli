@@ -20,12 +20,6 @@ val max_wire : Circuit.b -> int
 (** Largest wire id mentioned anywhere (so allocators can avoid
     collisions). *)
 
-val map_circuits : (Circuit.t -> Circuit.t) -> Circuit.b -> Circuit.b
-(** Apply a whole-circuit function to the main circuit and every
-    subroutine body — how the optimizer pass manager ([lib/opt]) applies
-    its passes hierarchically. The function must preserve each circuit's
-    input/output arity. *)
-
 val gates_cancel : Gate.t -> Gate.t -> bool
 (** Are these adjacent gates mutual inverses on identical wires? Covers
     named gates, rotations, subroutine call/uncall pairs, and

@@ -1,70 +1,46 @@
-(** The pass manager: named peephole passes, configurable pipelines, a
-    fixpoint driver, and per-pass statistics.
+(** The materialized [-O] driver: {!Stream_opt} with a window covering
+    the whole circuit, repeated to a fixpoint, with per-round
+    statistics and the command-line report.
 
-    Passes run over flat circuits; {!optimize} applies them hierarchically
-    (main circuit and every boxed subroutine body) via
-    {!Quipper.Transform.map_circuits}, repeating the whole pipeline until
-    a round changes nothing or [max_rounds] is hit. *)
+    One whole-circuit round commits its analyses in arrival order, so a
+    removal late in the circuit cannot feed a decision made earlier;
+    each further round re-runs every rule over the previous round's
+    output, until a round changes nothing (at most 10 rounds). *)
 
 open Quipper
 
-type pass = {
-  pname : string;  (** name used on the command line and in statistics *)
-  descr : string;
-  run : Circuit.t -> Circuit.t;
-}
-
-val builtin : pass list
-(** All named passes: ["constants"], ["flip-controls"], ["cancel"],
-    ["fuse"]. *)
-
-val default_pipeline : pass list
-(** [constants; flip-controls; cancel; fuse] — constant propagation first
-    so dropped controls expose X sandwiches, then cancellation, then
-    fusion on whatever rotations remain adjacent-up-to-commutation. *)
-
-val find_pass : string -> pass
-(** Look up a builtin pass by name; raises {!Quipper.Errors.Error} with
-    the known names on an unknown one. *)
-
-val pipeline_of_names : string list -> pass list
-
-type level = {
-  lname : string;  (** ["main"] or a subroutine name *)
-  lgates_before : int;  (** flat logical gates of this level's body *)
-  lgates_after : int;
-  lseconds : float;  (** wall time rewriting this one body *)
-}
-(** One hierarchy level of one pass application. A pass rewrites each
-    box body exactly once however many times it is called, so wall time
-    belongs to levels with {e flat} gate counts — against the
-    hierarchy-expanded counts in {!stat} a once-rewritten body would be
-    charged per call site. *)
-
 type stat = {
-  spass : string;  (** pass name *)
   round : int;  (** fixpoint round, starting at 1 *)
   gates_before : int;  (** {!Quipper.Gatecount.total_logical} before *)
   gates_after : int;
   depth_before : int;
   depth_after : int;
-  seconds : float;  (** wall time of this pass application (sum of levels) *)
-  levels : level list;  (** per-level breakdown: main first, then boxes *)
+  seconds : float;  (** wall time of this round's optimizer run *)
+  counters : Stream_opt.stats;  (** what each rule did this round *)
 }
 
-val optimize :
-  ?passes:pass list -> ?max_rounds:int -> Circuit.b -> Circuit.b * stat list
-(** Run the pipeline hierarchically to a fixpoint (at most [max_rounds]
-    rounds, default 10). Statistics come back in application order, one
-    entry per pass per round. *)
+val optimize : Circuit.b -> Circuit.b * stat list
+(** Optimize hierarchically (main circuit and every box body) to a
+    fixpoint. One statistic per round, in order; the last round is the
+    one that changed nothing, unless the round cap cut the loop. *)
 
 val pp_stats : Format.formatter -> stat list -> unit
-(** A table of per-pass statistics: gates and depth before/after, gates
-    removed, wall time. *)
+(** A table of per-round statistics: gates and depth before/after,
+    gates removed, wall time, and the round's rule counters. *)
+
+val report :
+  ?details:(Format.formatter -> unit) ->
+  Format.formatter ->
+  before:Gatecount.summary * int ->
+  after:Gatecount.summary * int ->
+  unit
+(** The [-O] report, given gatecount summaries and depths before and
+    after: before/after {!Quipper.Gatecount.pp_summary} blocks, with
+    [details] printed in between, then a one-line
+    ["Optimizer: removed N of M logical gates; depth a -> b"]. The
+    materialized and the streamed [-O] both print through it. *)
 
 val optimize_and_report : ?verbose:bool -> Format.formatter -> Circuit.b -> Circuit.b
-(** The command-line [-O] entry point: run the default pipeline, print
-    before/after {!Quipper.Gatecount.pp_summary} blocks (with the
-    {!pp_stats} table in between when [verbose]) and a one-line
-    ["Optimizer: removed N of M logical gates; depth a -> b"] summary,
-    and return the optimised circuit. *)
+(** The materialized command-line [-O]: {!optimize}, print the {!report}
+    (with the {!pp_stats} table as details when [verbose]), and return
+    the optimised circuit. *)

@@ -1,12 +1,16 @@
-(** Streaming peephole optimisation: the {!Rewrite} rules recast as a
-    ['r Sink.t -> 'r Sink.t] transformer.
+(** The peephole optimizer, as a ['r Sink.t -> 'r Sink.t] transformer.
 
-    The materialized optimizer ({!Passes}) needs the whole [Circuit.t]
-    in memory, but the interesting circuits stream (64M+ gates, PR 4).
-    [sink inner] interposes a bounded per-wire look-behind window
-    between the gate stream and [inner]: each arriving gate first runs
-    the constant-propagation transfer function ({!Rewrite.cp_step}),
-    then tries the NOT-conjugation sandwich on its wire, then walks
+    Every rule lives here: constant propagation, NOT-conjugation,
+    inverse cancellation (which also kills unused ancillas: an
+    [Init]/[Term] pair is a cancelling pair) and rotation fusion. The interesting circuits
+    stream (64M+ gates), so [sink inner] interposes a bounded per-wire
+    look-behind window between the gate stream and [inner]; the
+    materialized [-O] ({!Passes.optimize}) is this same engine with a
+    window covering the whole circuit. Each arriving gate first runs
+    the constant-propagation transfer function (a known basis value per
+    wire, from [Init0]/[Init1] through X flips, diagonal gates and
+    classical logic), then tries the NOT-conjugation sandwich
+    [X·Λ(U)·X = Λ'(U)] on its wire, then walks
     backward over the window — stepping past provable commuters
     ({!Quipper.Gate.commutes}) — looking for an inverse to cancel
     ({!Quipper.Transform.gates_cancel}) or a rotation to fuse
@@ -44,8 +48,8 @@ type stats = {
   mutable box_replayed : int;
       (** box bodies served by per-angle replay of a skeleton memo *)
 }
-(** Per-rule counters, mirroring {!Passes}'s per-pass statistics. Box
-    bodies share the counters of the sink that owns them. *)
+(** Per-rule counters. Box bodies share the counters of the sink that
+    owns them. *)
 
 val stats_create : unit -> stats
 
@@ -59,10 +63,11 @@ val default_window : int
 val default_rounds : int
 (** How many window stages [sink] stacks (4). One stage commits its
     analyses in arrival order; each further stage re-runs the rules
-    over the previous stage's emission stream, the streaming
-    counterpart of {!Passes.optimize}'s fixpoint rounds. On the
-    paper's BWT and TF circuits the default stack reproduces the
-    materialized fixpoint counts exactly. *)
+    over the previous stage's emission stream, as each of
+    {!Passes.optimize}'s whole-circuit rounds re-runs them over the
+    previous round's output. On the paper's BWT and TF circuits the
+    default stack reproduces the whole-circuit fixpoint counts
+    exactly. *)
 
 type memo
 (** A shareable box-body cache keyed on the {e skeleton} hash
@@ -92,7 +97,7 @@ val sink :
     stacks that many window stages ({!default_rounds}; memory is
     O(rounds * window)); [window] bounds per-stage look-behind
     ({!default_window}); [lookahead] bounds how many live entries a
-    backward walk visits ({!Rewrite.default_lookahead}); pass [stats]
+    backward walk visits (32); pass [stats]
     to read the per-rule counters after [finish] — counters accumulate
     across all stages and box bodies, so [seen]/[emitted] are per-stage
     sums, not circuit sizes. *)
@@ -107,5 +112,6 @@ val optimize_b :
   Circuit.b
 (** Run a materialized circuit through the streaming optimizer:
     [Sink.drive b (sink (Sink.circuit ()))]. The window covers the
-    whole circuit only if [window] exceeds its gate count; with the
-    default window this is the streaming result, not {!Passes.optimize}. *)
+    whole circuit only if [window] exceeds its gate count;
+    {!Passes.optimize} runs single-stage whole-circuit windows to a
+    fixpoint. *)

@@ -1,5 +1,5 @@
-(* Tests for the optimizer subsystem: the per-wire adjacency DAG, each
-   peephole rewrite on hand-built circuits, the pass manager, and
+(* Tests for the optimizer: each peephole rule on hand-built circuits
+   through [Passes.optimize], its per-round statistics, and
    property-based translation validation — every optimized random circuit
    must validate, mean the same thing (statevector up to global phase, or
    bit-for-bit classically), never get deeper, and still round-trip
@@ -8,67 +8,19 @@
 open Quipper
 module Gen = Quipper_testgen.Gen
 open Circ
-module Dag = Quipper_opt.Dag
-module Rewrite = Quipper_opt.Rewrite
 module Passes = Quipper_opt.Passes
+module Stream_opt = Quipper_opt.Stream_opt
 module Equiv = Quipper_opt.Equiv
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let gen_shape n f = fst (Circ.generate ~in_:(Qdata.list_of n Qdata.qubit) f)
 let optimize b = fst (Passes.optimize b)
+let logical b = (Gatecount.summarize b).Gatecount.total_logical
 let find_kind b k = Gatecount.find_kind (Gatecount.aggregate b) k
 
 (* ------------------------------------------------------------------ *)
-(* The DAG                                                             *)
-
-let test_dag_adjacency () =
-  let b =
-    gen_shape 2 (function
-      | [ a; b ] ->
-          let* a = hadamard a in
-          let* () = cnot ~control:a ~target:b in
-          let* _ = gate_T b in
-          return [ a; b ]
-      | _ -> assert false)
-  in
-  let c = b.Circuit.main in
-  let wa = (List.nth c.Circuit.inputs 0).Wire.wire in
-  let wb = (List.nth c.Circuit.inputs 1).Wire.wire in
-  let d = Dag.of_circuit c in
-  checki "three nodes" 3 (Dag.size d);
-  check "H -> CNOT on the control wire" true (Dag.next_on_wire d 0 wa = Some 1);
-  check "CNOT -> T on the target wire" true (Dag.next_on_wire d 1 wb = Some 2);
-  check "H does not touch the target wire" true (Dag.next_on_wire d 0 wb = None);
-  check "T's predecessor on its wire" true (Dag.prev_on_wire d 2 wb = Some 1);
-  Dag.remove d 1;
-  check "removal relinks both wire lists" true
-    (Dag.next_on_wire d 0 wa = None && Dag.prev_on_wire d 2 wb = None);
-  checki "two gates left" 2 (Array.length (Dag.to_circuit d).Circuit.gates);
-  check "change tracked" true (Dag.changed d)
-
-let test_dag_comments_transparent () =
-  let b =
-    gen_shape 1 (function
-      | [ q ] ->
-          let* q = hadamard q in
-          let* () = comment "between" in
-          let* q = hadamard q in
-          return [ q ]
-      | _ -> assert false)
-  in
-  let c = b.Circuit.main in
-  let w = (List.hd c.Circuit.inputs).Wire.wire in
-  let d = Dag.of_circuit c in
-  check "comment invisible to the wire list" true (Dag.next_on_wire d 0 w = Some 2);
-  check "comment has no gate" true (Dag.gate d 1 = None);
-  (* the H pair cancels across the comment, which itself survives *)
-  let c' = Rewrite.cancel c in
-  checki "only the comment remains" 1 (Array.length c'.Circuit.gates);
-  check "and it is the comment" true (Gate.is_comment c'.Circuit.gates.(0))
-
-(* ------------------------------------------------------------------ *)
-(* Rewrites on hand-built circuits                                     *)
+(* Each rule on hand-built circuits                                   *)
 
 let test_cancel_across_commuting () =
   (* T and T* sandwich a CNOT controlled on the same wire: the control is
@@ -82,7 +34,7 @@ let test_cancel_across_commuting () =
           return [ a; b ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.cancel b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "T pair cancelled" 0 (find_kind b' "T");
   checki "CNOT stays" 1 (find_kind b' "Not")
@@ -99,8 +51,24 @@ let test_cancel_blocked_by_noncommuting () =
           return [ a; b ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.cancel b in
+  let b' = optimize b in
   checki "T pair must stay" 2 (find_kind b' "T")
+
+let test_cancel_across_comment () =
+  (* comments are transparent to the wire chains: the H pair cancels
+     across one, which itself survives *)
+  let b =
+    gen_shape 1 (function
+      | [ q ] ->
+          let* q = hadamard q in
+          let* () = comment "between" in
+          let* q = hadamard q in
+          return [ q ]
+      | _ -> assert false)
+  in
+  let c' = (optimize b).Circuit.main in
+  checki "only the comment remains" 1 (Array.length c'.Circuit.gates);
+  check "and it is the comment" true (Gate.is_comment c'.Circuit.gates.(0))
 
 let test_dead_init_elimination () =
   (* an ancilla initialised and terminated without use dies, even with
@@ -114,7 +82,7 @@ let test_dead_init_elimination () =
           return [ q ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.cancel b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "Init0 gone" 0 (find_kind b' "Init0");
   checki "Term0 gone" 0 (find_kind b' "Term0");
@@ -131,7 +99,7 @@ let test_fusion () =
           return [ q ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.fuse b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "T.T fused away" 0 (find_kind b' "T");
   checki "...into one S" 1 (find_kind b' "S");
@@ -146,7 +114,7 @@ let test_fusion_to_identity () =
           return [ q ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.fuse b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "zero-angle fusion removes both" 0
     (Array.length b'.Circuit.main.Circuit.gates)
@@ -162,7 +130,7 @@ let test_flip_controls () =
           return [ a; b ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.flip_controls b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "one gate left" 1 (Array.length b'.Circuit.main.Circuit.gates);
   checki "with a negative control" 1
@@ -182,7 +150,7 @@ let test_propagate_constants () =
           return [ a; b ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.propagate_constants b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "one NOT left" 1 (find_kind b' "Not");
   checki "and it is uncontrolled" 1
@@ -201,45 +169,44 @@ let test_constant_swap_deleted () =
           return [ q ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.propagate_constants b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "swap of equal constants deleted" 0 (find_kind b' "Swap")
 
 (* ------------------------------------------------------------------ *)
-(* The pass manager                                                    *)
-
-let test_pass_manager () =
-  checki "four builtin passes" 4 (List.length Passes.builtin);
-  check "pipeline lookup by name" true
-    (List.map
-       (fun (p : Passes.pass) -> p.Passes.pname)
-       (Passes.pipeline_of_names [ "fuse"; "cancel" ])
-    = [ "fuse"; "cancel" ]);
-  check "unknown pass rejected" true
-    (match Passes.find_pass "inline-everything" with
-    | exception Errors.Error (Errors.Invalid _) -> true
-    | _ -> false)
+(* Per-round statistics                                                *)
 
 let test_optimize_reports_stats () =
+  (* an H pair hides an ancilla's known value: round 1 cancels the pair,
+     round 2 sees the constant, drops the control it feeds and kills the
+     now-unused ancilla, round 3 changes nothing *)
   let b =
     gen_shape 1 (function
       | [ q ] ->
-          let* q = hadamard q in
-          let* q = hadamard q in
+          let* x = qinit_bit true in
+          let* x = hadamard x in
+          let* x = hadamard x in
+          let* () = qnot_ q |> controlled [ ctl x ] in
+          let* () = qterm_bit true x in
           return [ q ]
       | _ -> assert false)
   in
   let b', stats = Passes.optimize b in
-  checki "everything cancelled" 0 (Array.length b'.Circuit.main.Circuit.gates);
-  check "stats cover every pass of round one" true
-    (List.length stats >= List.length Passes.default_pipeline);
-  let cancel_stat =
-    List.find
-      (fun (s : Passes.stat) -> s.Passes.spass = "cancel" && s.Passes.round = 1)
-      stats
-  in
-  checki "cancel removed the H pair" 2
-    (cancel_stat.Passes.gates_before - cancel_stat.Passes.gates_after)
+  checki "one uncontrolled NOT left" 1 (Array.length b'.Circuit.main.Circuit.gates);
+  let removed (s : Passes.stat) = s.Passes.gates_before - s.Passes.gates_after in
+  let first = List.hd stats and last = List.nth stats (List.length stats - 1) in
+  checki "round 1 removes the H pair" 2 (removed first);
+  checki "as one cancellation" 1 first.Passes.counters.Stream_opt.cancelled;
+  checki "round deltas sum to the total reduction"
+    (logical b - logical b')
+    (List.fold_left (fun acc s -> acc + removed s) 0 stats);
+  checki "three rounds" 3 (List.length stats);
+  let c = last.Passes.counters in
+  check "the last round changes nothing" true
+    (removed last = 0
+    && c.Stream_opt.cancelled + c.fused + c.flipped + c.const_controls
+       + c.const_deleted
+       = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Translation validation on random circuits                           *)
@@ -289,9 +256,8 @@ let prop_optimized_roundtrip =
 
 let suite =
   [
-    Alcotest.test_case "dag adjacency and removal" `Quick test_dag_adjacency;
-    Alcotest.test_case "dag comments transparent" `Quick test_dag_comments_transparent;
     Alcotest.test_case "cancel across commuting" `Quick test_cancel_across_commuting;
+    Alcotest.test_case "cancel across a comment" `Quick test_cancel_across_comment;
     Alcotest.test_case "cancel blocked when not commuting" `Quick
       test_cancel_blocked_by_noncommuting;
     Alcotest.test_case "dead init elimination" `Quick test_dead_init_elimination;
@@ -300,7 +266,6 @@ let suite =
     Alcotest.test_case "NOT-conjugation flips controls" `Quick test_flip_controls;
     Alcotest.test_case "constant propagation" `Quick test_propagate_constants;
     Alcotest.test_case "constant swap deletion" `Quick test_constant_swap_deleted;
-    Alcotest.test_case "pass manager" `Quick test_pass_manager;
     Alcotest.test_case "per-pass statistics" `Quick test_optimize_reports_stats;
     QCheck_alcotest.to_alcotest prop_optimize_statevector;
     QCheck_alcotest.to_alcotest prop_optimize_classical;

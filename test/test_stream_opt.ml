@@ -2,10 +2,11 @@
    windowed sink, retirement-boundary soundness regressions, a
    200-circuit differential corpus (streamed-optimized output must mean
    the same thing as the input, statevector up to global phase or
-   bit-for-bit classically), streamed-vs-materialized reduction parity,
-   window-monotonicity and depth properties on the same corpus, golden
-   agreement with [Passes.optimize] on the paper's BWT and TF circuits,
-   and the per-level pass statistics satellite.
+   bit-for-bit classically), window-monotonicity up to the whole-circuit
+   window of [Passes.optimize], the fixpoint and depth properties on the
+   same corpus, golden agreement of the default window with
+   [Passes.optimize] on the paper's BWT and TF circuits, and
+   [Passes.optimize]'s per-round statistics.
 
    The corpus is deterministic: circuit [i] is [Gen.sample ~seed:i] of
    the same generators the QCheck properties use, so a failure names the
@@ -199,27 +200,6 @@ let test_corpus_classical () =
           Alcotest.failf "seed %d: not bit-for-bit classical: %a" seed Equiv.pp v)
     corpus_seeds
 
-(* With the window covering the whole circuit, the streamed greedy and
-   the materialized fixpoint agree gate-for-gate on (at least) 199 of
-   the 200 corpus circuits; the allowed residue is the greedy
-   commitment-order artifact (seed 96 keeps one extra gate), never a
-   streamed result *better* than the fixpoint or worse by more than
-   one gate. *)
-let test_corpus_passes_parity () =
-  let mismatches = ref 0 in
-  List.iter
-    (fun seed ->
-      let b = corpus_circuit seed in
-      let mat = logical (fst (Passes.optimize b)) in
-      let st = logical (Stream_opt.optimize_b ~window:4096 b) in
-      if st <> mat then begin
-        incr mismatches;
-        if st < mat || st > mat + 1 then
-          Alcotest.failf "seed %d: streamed %d vs materialized %d" seed st mat
-      end)
-    corpus_seeds;
-  check "at most 2 greedy off-by-one residues in 200" true (!mismatches <= 2)
-
 let test_corpus_never_deepens () =
   List.iter
     (fun seed ->
@@ -230,15 +210,28 @@ let test_corpus_never_deepens () =
           (Depth.depth b'))
     corpus_seeds
 
+(* r_inf is the whole-circuit window run to a fixpoint: [Passes.optimize] *)
 let test_corpus_window_monotone () =
   List.iter
     (fun seed ->
       let b = corpus_circuit seed in
       let red w = logical b - logical (Stream_opt.optimize_b ~window:w b) in
       let r8 = red 8 and r32 = red 32 and r256 = red 256 in
-      if not (r8 <= r32 && r32 <= r256) then
-        Alcotest.failf "seed %d: reductions not monotone in window: %d %d %d"
-          seed r8 r32 r256)
+      let r_inf = logical b - logical (fst (Passes.optimize b)) in
+      if not (r8 <= r32 && r32 <= r256 && r256 <= r_inf) then
+        Alcotest.failf "seed %d: reductions not monotone in window: %d %d %d %d"
+          seed r8 r32 r256 r_inf)
+    corpus_seeds
+
+let test_corpus_fixpoint () =
+  List.iter
+    (fun seed ->
+      let b' = fst (Passes.optimize (corpus_circuit seed)) in
+      let b'', stats = Passes.optimize b' in
+      if List.length stats <> 1 || b'' <> b' then
+        Alcotest.failf "seed %d: re-optimizing took %d rounds%s" seed
+          (List.length stats)
+          (if b'' <> b' then " and changed the circuit" else ""))
     corpus_seeds
 
 (* ------------------------------------------------------------------ *)
@@ -303,13 +296,11 @@ let test_golden_tf () =
   checki "tf depth identical" (Depth.depth mat) depth
 
 (* ------------------------------------------------------------------ *)
-(* Per-level pass statistics (the wall-time conflation fix)             *)
+(* Per-round statistics of [Passes.optimize]                            *)
 
-let test_passes_per_level_stats () =
-  (* an H pair inside a box called twice: the headline (hierarchy-
-     expanded) cancel delta counts both call sites, the per-level
-     breakdown charges the box's flat body once — which is what its
-     wall time paid for *)
+let test_passes_per_round_stats () =
+  (* an H pair inside a box called twice: the body is rewritten once,
+     but the round's (hierarchy-expanded) delta counts both call sites *)
   let inner q =
     let* q = hadamard q in
     let* q = hadamard q in
@@ -323,31 +314,16 @@ let test_passes_per_level_stats () =
     return (a, b2)
   in
   let b, _ = Circ.generate ~in_:(Qdata.pair Qdata.qubit Qdata.qubit) prog in
-  let _, stats = Passes.optimize b in
-  let cancel =
-    List.find
-      (fun (s : Passes.stat) -> s.Passes.spass = "cancel" && s.Passes.round = 1)
-      stats
-  in
-  checki "headline delta is hierarchy-expanded (2 calls x 2 gates)" 4
-    (cancel.Passes.gates_before - cancel.Passes.gates_after);
-  let level name =
-    List.find
-      (fun (l : Passes.level) -> l.Passes.lname = name)
-      cancel.Passes.levels
-  in
-  let main = level "main" and box_l = level "inner" in
-  checki "main body flat delta" 0
-    (main.Passes.lgates_before - main.Passes.lgates_after);
-  checki "box body flat delta counted once" 2
-    (box_l.Passes.lgates_before - box_l.Passes.lgates_after);
-  let level_sum =
-    List.fold_left
-      (fun acc (l : Passes.level) -> acc +. l.Passes.lseconds)
-      0.0 cancel.Passes.levels
-  in
-  check "pass wall time is the sum of its levels" true
-    (Float.abs (cancel.Passes.seconds -. level_sum) < 1e-9)
+  let b', stats = Passes.optimize b in
+  let removed (s : Passes.stat) = s.Passes.gates_before - s.Passes.gates_after in
+  let first = List.hd stats and last = List.nth stats (List.length stats - 1) in
+  checki "round 1 removes the H pair at both call sites" 4 (removed first);
+  checki "the body is rewritten once" 1
+    first.Passes.counters.Stream_opt.boxes_optimized;
+  checki "round deltas sum to the total reduction"
+    (logical b - logical b')
+    (List.fold_left (fun acc s -> acc + removed s) 0 stats);
+  checki "the last round changes nothing" 0 (removed last)
 
 (* ------------------------------------------------------------------ *)
 
@@ -372,11 +348,11 @@ let suite =
       test_corpus_statevector;
     Alcotest.test_case "corpus: classical bit-for-bit (200)" `Quick
       test_corpus_classical;
-    Alcotest.test_case "corpus: parity with Passes at full window" `Quick
-      test_corpus_passes_parity;
     Alcotest.test_case "corpus: never deepens" `Quick test_corpus_never_deepens;
     Alcotest.test_case "corpus: reduction monotone in window" `Quick
       test_corpus_window_monotone;
+    Alcotest.test_case "corpus: Passes.optimize is a fixpoint" `Quick
+      test_corpus_fixpoint;
     Alcotest.test_case "streamed output print->parse roundtrip" `Quick
       test_streamed_output_roundtrips;
     Alcotest.test_case "streamed printer = optimize_b printed" `Quick
@@ -384,6 +360,6 @@ let suite =
     Alcotest.test_case "golden: bwt matches materialized -O" `Quick
       test_golden_bwt;
     Alcotest.test_case "golden: tf matches materialized -O" `Quick test_golden_tf;
-    Alcotest.test_case "passes: per-level wall-time stats" `Quick
-      test_passes_per_level_stats;
+    Alcotest.test_case "passes: per-round stats" `Quick
+      test_passes_per_round_stats;
   ]

@@ -67,20 +67,17 @@ let e2 () =
 
 let e3 () =
   section "E3 (paper 5.4): whole Triangle Finding algorithm, l=31 n=15 r=6";
-  if quick then Fmt.pr "  [skipped in quick mode: ~25s]@."
-  else begin
-    let p = { Algo_tf.Oracle.l = 31; n = 15; r = 6 } in
-    let b, gen_t = time (fun () -> Algo_tf.Qwtfp.generate ~p ()) in
-    let s, count_t = time (fun () -> Gatecount.summarize b) in
-    row3 "" "paper" "this repo";
-    row3 "total gates" "30,189,977,982,990" (commas s.Gatecount.total);
-    row3 "qubits" "4,676" (commas s.Gatecount.qubits);
-    row3 "generation wall time" "< 2 min (laptop)" (Fmt.str "%.1fs" gen_t);
-    row3 "counting wall time" "(included above)" (Fmt.str "%.2fs" count_t);
-    Fmt.pr
-      "  Trillions of gates are counted without inlining: the hierarchy of@.\
-      \  boxed subcircuits (o7/o8/o4/o1/a5/a6/a4) multiplies per-call costs.@."
-  end
+  let p = { Algo_tf.Oracle.l = 31; n = 15; r = 6 } in
+  let b, gen_t = time (fun () -> Algo_tf.Qwtfp.generate ~p ()) in
+  let s, count_t = time (fun () -> Gatecount.summarize b) in
+  row3 "" "paper" "this repo";
+  row3 "total gates" "30,189,977,982,990" (commas s.Gatecount.total);
+  row3 "qubits" "4,676" (commas s.Gatecount.qubits);
+  row3 "generation wall time" "< 2 min (laptop)" (Fmt.str "%.1fs" gen_t);
+  row3 "counting wall time" "(included above)" (Fmt.str "%.2fs" count_t);
+  Fmt.pr
+    "  Trillions of gates are counted without inlining: the hierarchy of@.\
+    \  boxed subcircuits (o7/o8/o4/o1/a5/a6/a4) multiplies per-call costs.@."
 
 let e4 () =
   section "E4 (paper 6): BWT circuits, QCL vs Quipper orthodox vs template";

@@ -159,15 +159,6 @@ let check_live c w ty =
       if ty <> ty' then
         Errors.raise_ (Wire_type { wire = w; expected = ty; got = ty' })
 
-let check_distinct endpoints =
-  let rec go seen = function
-    | [] -> ()
-    | (e : Wire.endpoint) :: tl ->
-        if List.mem e.wire seen then Errors.raise_ (No_cloning e.wire);
-        go (e.wire :: seen) tl
-  in
-  go [] endpoints
-
 (** Emit one gate: apply ambient controls, run the physicality checks,
     update the live table, append to the sink, notify the executor. The
     wires of [g] must already be concrete (allocation happens before). *)
@@ -180,7 +171,7 @@ let emit c (g : Gate.t) =
       | Gate.Control_neutral -> g
       | Gate.Not_controllable what -> Errors.raise_ (Not_controllable what)
   in
-  (match g with Gate.Comment _ -> () | _ -> check_distinct (Gate.wires g));
+  Gate.check_distinct g;
   (match g with
   | Gate.Gate { name; targets; controls; _ } ->
       (match Gate.primitive_arity name with
@@ -610,10 +601,12 @@ let capture (c : ctx) (in_w : ('b, 'q, 'cc) Qdata.t)
       let outs = out_w.Qdata.qleaves y in
       (* every remaining live wire must be accounted for in the outputs;
          otherwise the function leaks wires (same error Quipper gives) *)
-      let declared = List.map (fun (e : Wire.endpoint) -> e.Wire.wire) outs in
+      let declared =
+        Wire.mem_of (List.map (fun (e : Wire.endpoint) -> e.Wire.wire) outs)
+      in
       Hashtbl.iter
         (fun w _ ->
-          if not (List.mem w declared) then
+          if not (declared w) then
             Errors.raise_
               (Shape_mismatch
                  (Fmt.str "captured function leaks wire %d (not in output shape)" w)))

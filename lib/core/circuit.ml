@@ -62,16 +62,8 @@ let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
         if ty <> ty' then
           Errors.raise_ (Wire_type { wire = w; expected = ty; got = ty' })
   in
-  let check_distinct endpoints =
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun (e : Wire.endpoint) ->
-        if Hashtbl.mem seen e.wire then Errors.raise_ (No_cloning e.wire);
-        Hashtbl.add seen e.wire ())
-      endpoints
-  in
   let apply_gate (g : Gate.t) =
-    (match g with Gate.Comment _ -> () | _ -> check_distinct (Gate.wires g));
+    Gate.check_distinct g;
     match g with
     | Gate.Gate { name; targets; controls; _ } ->
         (match Gate.primitive_arity name with

@@ -123,11 +123,17 @@ let wires gate : Wire.endpoint list =
   | Cgate { out; ins; _ } -> Wire.cw out :: List.map Wire.cw ins
   | Subroutine { inputs; outputs; controls; _ } ->
       (* outputs may introduce wires not among the inputs *)
-      let outs =
-        List.filter (fun w -> not (List.mem w inputs)) outputs
-      in
+      let is_input = Wire.mem_of inputs in
+      let outs = List.filter (fun w -> not (is_input w)) outputs in
       List.map Wire.qw inputs @ List.map Wire.qw outs @ List.map ctl controls
   | Comment { labels; _ } -> List.map (fun (w, _) -> Wire.qw w) labels
+
+let check_distinct = function
+  | Comment _ -> ()
+  | g -> (
+      match Wire.first_repeat (wires g) with
+      | Some w -> Errors.raise_ (No_cloning w)
+      | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Rewriting predicates                                                *)
@@ -169,9 +175,19 @@ let wire_action g w =
     everywhere else — never claims commutation that does not hold. *)
 let commutes a b =
   let wires_of g =
-    List.sort_uniq compare (List.map (fun (e : Wire.endpoint) -> e.Wire.wire) (wires g))
+    List.sort_uniq Int.compare
+      (List.map (fun (e : Wire.endpoint) -> e.Wire.wire) (wires g))
   in
-  let shared = List.filter (fun w -> List.mem w (wires_of b)) (wires_of a) in
+  (* both sides sorted once, intersected by merge *)
+  let rec inter (xs : Wire.t list) ys =
+    match (xs, ys) with
+    | x :: xt, y :: yt ->
+        if x = y then x :: inter xt yt
+        else if x < y then inter xt ys
+        else inter xs yt
+    | _ -> []
+  in
+  let shared = inter (wires_of a) (wires_of b) in
   if shared = [] then true
   else if not (is_unitary a && is_unitary b) then false
   else if is_diagonal a && is_diagonal b then true

@@ -139,6 +139,11 @@ val wires : t -> Wire.endpoint list
 (** Every wire the gate touches, with the type each must have when the
     gate fires (for [Measure], the qubit side). *)
 
+val check_distinct : t -> unit
+(** No-cloning: raises [Errors.Error (No_cloning w)] if the gate touches
+    a wire twice, naming the first wire that repeats in {!wires} order.
+    Comments are exempt. Linear in the gate's width. *)
+
 val inverse : t -> t
 (** The inverse gate. [Init] and [Term] swap — the formal content of
     §4.2.2. Raises {!Errors.Error} [(Not_reversible _)] on measurements,

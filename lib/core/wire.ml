@@ -35,3 +35,52 @@ let pp_endpoint ppf e =
 
 let pp_qubit ppf (Qubit w) = Fmt.pf ppf "q%d" w
 let pp_bit ppf (Bit w) = Fmt.pf ppf "c%d" w
+
+(* ------------------------------------------------------------------ *)
+(* Wire sets that stay linear on wide gates                            *)
+
+(* A subroutine call can carry thousands of wires, while an ordinary gate
+   has one to three. Up to [short] wires a plain scan is cheaper than
+   building a table, so both functions below keep one there and switch to a
+   hash set past it. *)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = Int.equal
+  let hash w = w land max_int
+end)
+
+let short = 16
+
+let rec longer_than n = function
+  | [] -> false
+  | _ :: tl -> n = 0 || longer_than (n - 1) tl
+
+let rec scan w = function [] -> false | x :: tl -> Int.equal x w || scan w tl
+
+let mem_of ws =
+  if not (longer_than short ws) then fun w -> scan w ws
+  else begin
+    let set = Tbl.create (2 * short) in
+    List.iter (fun w -> Tbl.replace set w ()) ws;
+    Tbl.mem set
+  end
+
+let first_repeat endpoints =
+  if not (longer_than short endpoints) then
+    let rec go seen = function
+      | [] -> None
+      | e :: tl -> if scan e.wire seen then Some e.wire else go (e.wire :: seen) tl
+    in
+    go [] endpoints
+  else begin
+    let seen = Tbl.create (2 * short) in
+    let rec go = function
+      | [] -> None
+      | e :: tl ->
+          if Tbl.mem seen e.wire then Some e.wire
+          else (Tbl.add seen e.wire (); go tl)
+    in
+    go endpoints
+  end

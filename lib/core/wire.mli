@@ -42,3 +42,12 @@ val bit_wire : bit -> t
 val pp_endpoint : Format.formatter -> endpoint -> unit
 val pp_qubit : Format.formatter -> qubit -> unit
 val pp_bit : Format.formatter -> bit -> unit
+
+val mem_of : t list -> t -> bool
+(** [mem_of ws] is a membership test for [ws]. Building it and testing
+    every wire of a wide gate against it costs time linear in the wires:
+    short lists are scanned, long ones go into a hash set. *)
+
+val first_repeat : endpoint list -> t option
+(** The first wire, in list order, that occurs earlier in the list too;
+    [None] when all wires are distinct. Linear in the list length. *)

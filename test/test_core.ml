@@ -440,6 +440,135 @@ let test_comment_labels () =
   check "comment label" true (Astring_contains.contains s "\"x\"")
 
 (* ------------------------------------------------------------------ *)
+(* Wide gates: wire bookkeeping past the short-list scan                *)
+
+(* [Wire.mem_of] and [Wire.first_repeat] scan lists of up to 16 wires and
+   switch to a hash set past that. These cases reach the long branch and
+   pin that it reports exactly what the plain scans did. *)
+
+let wide = 20
+let gen_wide f = fst (Circ.generate ~in_:(Qdata.list_of wide Qdata.qubit) f)
+
+(* [f] stores the wire it expects [No_cloning] to name in the ref *)
+let expect_no_cloning f =
+  let repeated = ref (-1) in
+  expect_error
+    (function Errors.No_cloning w -> w = !repeated | _ -> false)
+    (fun () -> f repeated)
+
+let test_wide_gate_no_cloning () =
+  (* target q0, controls q1..q19 then q7 and q3: q3's first occurrence is
+     earlier, but q7 is the first wire in list order that repeats *)
+  expect_no_cloning (fun repeated ->
+      gen_wide (fun qs ->
+          let qa = Array.of_list qs in
+          repeated := Wire.qubit_wire qa.(7);
+          qnot_ qa.(0)
+          |> controlled (List.map ctl (List.tl qs) @ [ ctl qa.(7); ctl qa.(3) ])))
+
+let test_wide_call_no_cloning () =
+  (* the call's inputs are the 20 qubits followed by q9 and q4 *)
+  expect_no_cloning (fun repeated ->
+      gen_wide (fun qs ->
+          let qa = Array.of_list qs in
+          repeated := Wire.qubit_wire qa.(9);
+          let shape = Qdata.list_of (wide + 2) Qdata.qubit in
+          box "wide_id" ~in_:shape ~out:shape return (qs @ [ qa.(9); qa.(4) ])))
+
+let test_wide_box_leak () =
+  (* a 20-wire box leaking one ancilla names that ancilla *)
+  let leaked = ref (-1) in
+  expect_error
+    (function
+      | Errors.Shape_mismatch msg ->
+          msg
+          = Fmt.str "captured function leaks wire %d (not in output shape)"
+              !leaked
+      | _ -> false)
+    (fun () ->
+      let shape = Qdata.list_of wide Qdata.qubit in
+      gen_wide
+        (box "wide_leaky" ~in_:shape ~out:shape (fun qs ->
+             let* a = qinit_bit false in
+             leaked := Wire.qubit_wire a;
+             return qs)))
+
+let wire_list_gen =
+  QCheck2.Gen.(list_size (int_range 0 60) (int_range 0 80))
+
+let prop_wide_subroutine_wires =
+  QCheck2.Test.make ~name:"wide subroutine wires = List.mem filter" ~count:200
+    QCheck2.Gen.(pair wire_list_gen wire_list_gen)
+    (fun (inputs, outputs) ->
+      let controls = [ Gate.pos_control 81; Gate.neg_control 82 ] in
+      let g =
+        Gate.Subroutine { name = "s"; inv = false; inputs; outputs; controls }
+      in
+      Gate.wires g
+      = List.map Wire.qw inputs
+        @ List.map Wire.qw
+            (List.filter (fun w -> not (List.mem w inputs)) outputs)
+        @ [ Wire.qw 81; Wire.qw 82 ])
+
+(* random gates of every kind, with wide control lists and wide calls, on
+   few enough wires that they overlap often *)
+let gate_gen =
+  let open QCheck2.Gen in
+  let w = int_range 0 40 in
+  let controls =
+    list_size (oneof [ int_range 0 3; int_range 15 40 ])
+      (map2 (fun cwire positive -> { Gate.cwire; cty = Wire.Q; positive }) w bool)
+  in
+  oneof
+    [
+      map3
+        (fun name t controls -> Gate.Gate { name; inv = false; targets = [ t ]; controls })
+        (oneofl [ "not"; "X"; "H"; "Z"; "S"; "T"; "Y" ])
+        w controls;
+      map3
+        (fun a b controls ->
+          Gate.Gate { name = "swap"; inv = false; targets = [ a; b ]; controls })
+        w w controls;
+      map3
+        (fun name t controls ->
+          Gate.Rot { name; angle = 0.5; inv = false; targets = [ t ]; controls })
+        (oneofl [ "Rz"; "R"; "Ry" ])
+        w controls;
+      map (fun controls -> Gate.Phase { angle = 0.25; controls }) controls;
+      map (fun wire -> Gate.Init { ty = Wire.Q; value = false; wire }) w;
+      map (fun wire -> Gate.Measure { wire }) w;
+      map3
+        (fun inputs outputs controls ->
+          Gate.Subroutine { name = "s"; inv = false; inputs; outputs; controls })
+        (list_size (int_range 0 40) w)
+        (list_size (int_range 0 40) w)
+        controls;
+    ]
+
+let commutes_reference a b =
+  let module S = Set.Make (Int) in
+  let set g = S.of_list (List.map (fun (e : Wire.endpoint) -> e.wire) (Gate.wires g)) in
+  let shared = S.inter (set a) (set b) in
+  if S.is_empty shared then true
+  else if not (Gate.is_unitary a && Gate.is_unitary b) then false
+  else if Gate.is_diagonal a && Gate.is_diagonal b then true
+  else
+    let factors g = Gate.is_diagonal g || List.length (Gate.targets g) <= 1 in
+    factors a && factors b
+    && S.for_all
+         (fun w ->
+           match (Gate.wire_action a w, Gate.wire_action b w) with
+           | Gate.Act_diag, Gate.Act_diag | Gate.Act_x, Gate.Act_x -> true
+           | _ -> false)
+         shared
+
+let prop_commutes_reference =
+  QCheck2.Test.make ~name:"Gate.commutes = set-based reference" ~count:500
+    ~print:(fun (a, b) -> Gate.to_string a ^ " / " ^ Gate.to_string b)
+    QCheck2.Gen.(pair gate_gen gate_gen)
+    (fun (a, b) -> Gate.commutes a b = commutes_reference a b)
+
+(* ------------------------------------------------------------------ *)
 (* Properties over random circuits                                     *)
 
 let prop_generated_circuits_validate =
@@ -507,4 +636,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_generated_circuits_validate;
     QCheck_alcotest.to_alcotest prop_reverse_validates;
     QCheck_alcotest.to_alcotest prop_double_reverse_identity;
+    Alcotest.test_case "wide gate no-cloning names first repeat" `Quick
+      test_wide_gate_no_cloning;
+    Alcotest.test_case "wide call no-cloning names first repeat" `Quick
+      test_wide_call_no_cloning;
+    Alcotest.test_case "wide box leak names the leaked wire" `Quick
+      test_wide_box_leak;
+    QCheck_alcotest.to_alcotest prop_wide_subroutine_wires;
+    QCheck_alcotest.to_alcotest prop_commutes_reference;
   ]

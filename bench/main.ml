@@ -34,6 +34,13 @@ let commas n =
     s;
   Buffer.contents b
 
+(* Write pre-rendered JSON objects as one BENCH_*.json array. *)
+let write_bench file rows =
+  let oc = open_out file in
+  output_string oc ("[\n" ^ String.concat ",\n" rows ^ "\n]\n");
+  close_out oc;
+  Fmt.pr "  -> %s (%d entries)@." file (List.length rows)
+
 (* ================================================================== *)
 
 let e1 () =
@@ -873,22 +880,14 @@ let n5 () =
   record (label ^ "_fused_nocache") g t_nc (t_unf /. t_nc);
   record (label ^ "_fused_cache") g t_fus (t_unf /. t_fus);
   (* machine-readable dump *)
-  let oc = open_out "BENCH_N5.json" in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i (name, gates, secs, speedup) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Fmt.str
+  write_bench "BENCH_N5.json"
+    (List.rev_map
+       (fun (name, gates, secs, speedup) ->
+         Fmt.str
            "  {\"name\": %S, \"gates\": %d, \"seconds\": %.6f, \
             \"speedup_vs_unfused\": %.3f}"
-           name gates secs speedup))
-    (List.rev !json);
-  Buffer.add_string buf "\n]\n";
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "  -> BENCH_N5.json (%d entries)@." (List.length !json)
+           name gates secs speedup)
+       !json)
 
 (* ================================================================== *)
 (* N6: Pauli-frame fault engine (EXPERIMENTS.md N6). The
@@ -956,18 +955,7 @@ let n6 () =
             \"speedup_vs_slow\": %.2f}"
            d speedup_p trials ftps slow_trials stps (ftps /. stps)))
     [ 3; 5; 7; 9 ];
-  let oc = open_out "BENCH_N6.json" in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf line)
-    (List.rev !json);
-  Buffer.add_string buf "\n]\n";
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "  -> BENCH_N6.json (%d entries)@." (List.length !json)
+  write_bench "BENCH_N6.json" (List.rev !json)
 
 (* ================================================================== *)
 (* N7: shot-service traffic benchmark (EXPERIMENTS.md N7). Batched
@@ -1102,18 +1090,7 @@ let n7 () =
            (warm.Serve.misses - cold.Serve.misses)
            cold.Serve.hits cold.Serve.misses))
     workloads;
-  let oc = open_out "BENCH_N7.json" in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf line)
-    (List.rev !json);
-  Buffer.add_string buf "\n]\n";
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "  -> BENCH_N7.json (%d entries)@." (List.length !json)
+  write_bench "BENCH_N7.json" (List.rev !json)
 
 (* ================================================================== *)
 (* N8: symbolic resource estimation                                    *)
@@ -1248,18 +1225,7 @@ let n8 () =
     let v, s = time (fun () -> bwt_estimate p) in
     scaled "bwt n=8 s=max_int/322" v s
   end;
-  let oc = open_out "BENCH_N8.json" in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf line)
-    (List.rev !json);
-  Buffer.add_string buf "\n]\n";
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "  -> BENCH_N8.json (%d entries)@." (List.length !json)
+  write_bench "BENCH_N8.json" (List.rev !json)
 
 (* ================================================================== *)
 (* N9: the streaming optimizer                                         *)
@@ -1336,18 +1302,7 @@ let n9 () =
     "  Memory is O(rounds x window) however large s is: CI's streaming-opt@.\
     \  smoke runs the same pipeline under `ulimit -v 400000` at s far past@.\
     \  what the materialized optimizer can buffer.@.";
-  let oc = open_out "BENCH_N9.json" in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf line)
-    (List.rev !json);
-  Buffer.add_string buf "\n]\n";
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "  -> BENCH_N9.json (%d entries)@." (List.length !json)
+  write_bench "BENCH_N9.json" (List.rev !json)
 
 (* ================================================================== *)
 (* N10: parameter sweeps through the shot service                      *)
@@ -1465,18 +1420,7 @@ let n10 () =
        ratio honestly decays toward 1 *)
     [ ("bwt d=1 s=8", 1, 8); ("bwt d=2 s=8", 2, 8) ];
   Kernel.num_domains := saved;
-  let oc = open_out "BENCH_N10.json" in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf line)
-    (List.rev !json);
-  Buffer.add_string buf "\n]\n";
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "  -> BENCH_N10.json (%d entries)@." (List.length !json)
+  write_bench "BENCH_N10.json" (List.rev !json)
 
 (* ================================================================== *)
 (* Bechamel micro-benchmarks                                           *)

@@ -130,9 +130,27 @@ let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
     Errors.invalidf "circuit leaves %d wires live but declares %d outputs"
       (Hashtbl.length live) (List.length c.outputs)
 
+let recursive name = Errors.invalidf "recursive subroutine %s" name
+
+(* Depth-first over the call graph, carrying the chain of callers. *)
+let check_acyclic (b : b) =
+  let acyclic = Hashtbl.create 16 in
+  let rec visit path name =
+    if List.mem name path then recursive name;
+    match Namespace.find_opt name b.subs with
+    | Some s when not (Hashtbl.mem acyclic name) ->
+        Array.iter
+          (function Gate.Subroutine { name = m; _ } -> visit (name :: path) m | _ -> ())
+          s.circ.gates;
+        Hashtbl.replace acyclic name ()
+    | _ -> ()
+  in
+  Namespace.iter (fun name _ -> visit [] name) b.subs
+
 let validate_b (b : b) =
   validate ~subs:b.subs b.main;
-  Namespace.iter (fun _ s -> validate ~subs:b.subs s.circ) b.subs
+  Namespace.iter (fun _ s -> validate ~subs:b.subs s.circ) b.subs;
+  check_acyclic b
 
 (* ------------------------------------------------------------------ *)
 (* Inlining                                                            *)
@@ -162,6 +180,7 @@ let inline_provenance (b : b) : t * string list array =
         let g = Gate.rename rename g in
         match g with
         | Gate.Subroutine { name; inv; inputs; outputs; controls } ->
+            if List.mem name path then recursive name;
             let { circ; _ } = find_sub b name in
             let body_gates =
               if inv then
@@ -315,6 +334,47 @@ let hash_gen ~skel (b : b) : int64 =
 
 let hash (b : b) : int64 = hash_gen ~skel:false b
 let hash_skeleton (b : b) : int64 = hash_gen ~skel:true b
+
+(* An undefined callee hashes to [0L]: its consumer raises later, where
+   it needs the body. A redefinition changes the hash of every caller,
+   so it forgets all memoized hashes. *)
+module Defs = struct
+  type nonrec t = {
+    defs : (string, subroutine) Hashtbl.t;
+    exact : (string, int64) Hashtbl.t;
+    skel : (string, int64) Hashtbl.t;
+  }
+
+  let create () =
+    { defs = Hashtbl.create 16; exact = Hashtbl.create 16; skel = Hashtbl.create 16 }
+
+  let define d name sub =
+    Hashtbl.replace d.defs name sub;
+    Hashtbl.reset d.exact;
+    Hashtbl.reset d.skel
+
+  let find d name =
+    match Hashtbl.find_opt d.defs name with
+    | Some s -> s
+    | None -> Errors.raise_ (Unknown_subroutine name)
+
+  let hash ?(skel = false) d name =
+    let memo = if skel then d.skel else d.exact in
+    let rec go n =
+      match Hashtbl.find_opt memo n with
+      | Some h -> h
+      | None ->
+          Hashtbl.add memo n 0L;
+          let h =
+            match Hashtbl.find_opt d.defs n with
+            | None -> 0L
+            | Some s -> hash_t_gen ~skel ~resolve:(fun m -> Some (go m)) s.circ
+          in
+          Hashtbl.replace memo n h;
+          h
+    in
+    go name
+end
 
 (* ------------------------------------------------------------------ *)
 (* Angle sites                                                         *)

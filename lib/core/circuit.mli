@@ -40,7 +40,11 @@ val validate : ?subs:subroutine Namespace.t -> t -> unit
     declared outputs. Raises {!Errors.Error} otherwise. *)
 
 val validate_b : b -> unit
-(** [validate] on the main circuit and every subroutine body. *)
+(** [validate] on the main circuit and every subroutine body, and a check
+    that no subroutine calls itself, directly or through other
+    subroutines: every call must expand to a finite circuit. A call cycle
+    raises [Invalid "recursive subroutine f"], naming a subroutine on the
+    cycle. *)
 
 val inline : b -> t
 (** Expand every subroutine call recursively into a flat circuit, renaming
@@ -51,7 +55,9 @@ val inline_provenance : b -> t * string list array
 (** Like {!inline}, also returning, for each emitted gate, the stack of
     subroutine names it was inlined out of (outermost first; [[]] for
     gates of the main circuit). Fault-site enumeration uses this to
-    report where in the hierarchy each site lives. *)
+    report where in the hierarchy each site lives. Raises
+    [Invalid "recursive subroutine f"] when a call to [f] is reached
+    while inlining [f]'s own body. *)
 
 (** {2 Structural hashing}
 
@@ -76,6 +82,24 @@ val hash : b -> int64
     callee's body and its controllability flag, so same-named boxes with
     different bodies hash differently. Unresolvable names hash by name
     alone, like {!validate} treats them as opaque. *)
+
+(** Resolved body hashes over definitions that arrive one at a time, as
+    streaming consumers see them: [hash d f] is {!hash_t} of [f]'s body
+    (angle-blind with [~skel:true]) with each call resolved to the
+    callee's current body hash — [0L] when it is undefined or still being
+    hashed — memoized until the next [define]. Caches keyed on it never
+    alias two bodies bound to one name. *)
+module Defs : sig
+  type t
+
+  val create : unit -> t
+  val define : t -> string -> subroutine -> unit
+
+  val find : t -> string -> subroutine
+  (** Raises {!Errors.Error} [(Unknown_subroutine _)]. *)
+
+  val hash : ?skel:bool -> t -> string -> int64
+end
 
 (** {2 Skeleton hashing and angle sites}
 

@@ -189,7 +189,7 @@ let drive (b : Circuit.b) (s : 'r t) : 'r =
     [Circuit.inline_provenance]. Definitions are consumed, not
     forwarded: the inner sink sees a flat, subroutine-free stream. *)
 let unbox (inner : 'r t) : 'r t =
-  let defs : (string, Circuit.subroutine) Hashtbl.t = Hashtbl.create 16 in
+  let defs = Circuit.Defs.create () in
   (* body preparation — in particular building the reversed inverted
      body — is O(body size), so it is memoized per (name, inv, body
      hash) rather than redone for each of the possibly thousands of
@@ -202,35 +202,13 @@ let unbox (inner : 'r t) : 'r t =
       Hashtbl.t =
     Hashtbl.create 16
   in
-  let hashes : (string, int64) Hashtbl.t = Hashtbl.create 16 in
-  let body_hash name =
-    let rec go n =
-      match Hashtbl.find_opt hashes n with
-      | Some h -> h
-      | None ->
-          Hashtbl.add hashes n 0L;
-          let h =
-            match Hashtbl.find_opt defs n with
-            | None -> 0L
-            | Some (s : Circuit.subroutine) ->
-                Circuit.hash_t ~resolve:(fun m -> Some (go m)) s.Circuit.circ
-          in
-          Hashtbl.replace hashes n h;
-          h
-    in
-    go name
-  in
   let fresh = ref (-1) in
-  let find name =
-    match Hashtbl.find_opt defs name with
-    | Some s -> s
-    | None -> Errors.raise_ (Unknown_subroutine name)
-  in
   let prepare name inv =
-    match Hashtbl.find_opt prepared (name, inv, body_hash name) with
+    let key = (name, inv, Circuit.Defs.hash defs name) in
+    match Hashtbl.find_opt prepared key with
     | Some p -> p
     | None ->
-        let { Circuit.circ; _ } = find name in
+        let { Circuit.circ; _ } = Circuit.Defs.find defs name in
         let body =
           if inv then
             Array.of_list
@@ -243,7 +221,7 @@ let unbox (inner : 'r t) : 'r t =
         let d_in = if inv then circ.Circuit.outputs else circ.Circuit.inputs in
         let d_out = if inv then circ.Circuit.inputs else circ.Circuit.outputs in
         let p = (body, d_in, d_out) in
-        Hashtbl.replace prepared (name, inv, body_hash name) p;
+        Hashtbl.replace prepared key p;
         p
   in
   let rec expand (g : Gate.t) =
@@ -275,10 +253,6 @@ let unbox (inner : 'r t) : 'r t =
     on_inputs = inner.on_inputs;
     on_gate = expand;
     on_subroutine_enter = (fun _ -> ());
-    on_subroutine_exit =
-      (fun name sub ->
-        Hashtbl.replace defs name sub;
-        (* this name's hash — and that of any box calling it — changes *)
-        Hashtbl.reset hashes);
+    on_subroutine_exit = Circuit.Defs.define defs;
     finish = inner.finish;
   }

@@ -575,26 +575,9 @@ type memo_entry =
   | Msensitive
   | Mreplay of { gates : Gate.t array; sites : int option array }
 
-type memo = {
-  mtbl : (int64, memo_entry) Hashtbl.t;
-  mlock : Mutex.t;
-}
+type memo = (int64, memo_entry) Memo.t
 
-let memo () = { mtbl = Hashtbl.create 64; mlock = Mutex.create () }
-
-let memo_find m h =
-  Mutex.lock m.mlock;
-  let r = Hashtbl.find_opt m.mtbl h in
-  Mutex.unlock m.mlock;
-  r
-
-let memo_add m h e =
-  Mutex.lock m.mlock;
-  (* keep-first on a race: either racer's entry is equivalent (replay
-     entries substitute all sites; sensitive entries are sensitive for
-     every body of the skeleton) *)
-  if not (Hashtbl.mem m.mtbl h) then Hashtbl.add m.mtbl h e;
-  Mutex.unlock m.mlock
+let memo () : memo = Memo.create ()
 
 let replay_body ~(v : float array) (gates : Gate.t array)
     (sites : int option array) : Gate.t array =
@@ -613,33 +596,7 @@ let sink_one ~window ~lookahead ~st ?memo (inner : 'r Sink.t) : 'r Sink.t =
   (* original definitions, for resolved structural hashing — the same
      memoization discipline as [Sink.unbox] and [Fuse]'s box cache:
      keyed on the resolved hash, redefinitions miss instead of alias *)
-  let defs : (string, Circuit.subroutine) Hashtbl.t = Hashtbl.create 16 in
-  let hashes : (string, int64) Hashtbl.t = Hashtbl.create 16 in
-  let skel_hashes : (string, int64) Hashtbl.t = Hashtbl.create 16 in
-  let resolved_hash ~skel cache name =
-    let rec go n =
-      match Hashtbl.find_opt cache n with
-      | Some h -> h
-      | None ->
-          Hashtbl.add cache n 0L;
-          let h =
-            match Hashtbl.find_opt defs n with
-            | None -> 0L
-            | Some (s : Circuit.subroutine) ->
-                if skel then
-                  Circuit.hash_skeleton_t
-                    ~resolve:(fun m -> Some (go m))
-                    s.Circuit.circ
-                else
-                  Circuit.hash_t ~resolve:(fun m -> Some (go m)) s.Circuit.circ
-          in
-          Hashtbl.replace cache n h;
-          h
-    in
-    go name
-  in
-  let body_hash name = resolved_hash ~skel:false hashes name in
-  let skel_hash name = resolved_hash ~skel:true skel_hashes name in
+  let defs = Circuit.Defs.create () in
   let optimized : (int64, Gate.t array) Hashtbl.t = Hashtbl.create 16 in
   (* Optimize one body, consulting the shareable skeleton memo first:
      replay angle-insensitive templates by substitution, re-optimize
@@ -651,22 +608,26 @@ let sink_one ~window ~lookahead ~st ?memo (inner : 'r Sink.t) : 'r Sink.t =
         st.boxes_optimized <- st.boxes_optimized + 1;
         optimize_gates ~window ~lookahead ~st gates
     | Some m -> (
-        let sh = skel_hash name in
-        match memo_find m sh with
-        | Some (Mreplay { gates = tpl; sites }) ->
+        let own = ref None in
+        let entry, _ =
+          Memo.find_or_add m (Circuit.Defs.hash ~skel:true defs name)
+            (fun () ->
+              let gs, sites, sensitive =
+                optimize_gates_tagged ~window ~lookahead ~st gates
+              in
+              own := Some gs;
+              if sensitive then Msensitive else Mreplay { gates = gs; sites })
+        in
+        match (!own, entry) with
+        | Some gs, _ ->
+            st.boxes_optimized <- st.boxes_optimized + 1;
+            gs
+        | None, Mreplay { gates = tpl; sites } ->
             st.box_replayed <- st.box_replayed + 1;
             replay_body ~v:(Circuit.angles_t sub.Circuit.circ) tpl sites
-        | Some Msensitive ->
+        | None, Msensitive ->
             st.boxes_optimized <- st.boxes_optimized + 1;
-            optimize_gates ~window ~lookahead ~st gates
-        | None ->
-            let gs, sites, sensitive =
-              optimize_gates_tagged ~window ~lookahead ~st gates
-            in
-            st.boxes_optimized <- st.boxes_optimized + 1;
-            memo_add m sh
-              (if sensitive then Msensitive else Mreplay { gates = gs; sites });
-            gs)
+            optimize_gates ~window ~lookahead ~st gates)
   in
   {
     Sink.on_inputs = inner.Sink.on_inputs;
@@ -674,11 +635,8 @@ let sink_one ~window ~lookahead ~st ?memo (inner : 'r Sink.t) : 'r Sink.t =
     on_subroutine_enter = inner.Sink.on_subroutine_enter;
     on_subroutine_exit =
       (fun name (sub : Circuit.subroutine) ->
-        Hashtbl.replace defs name sub;
-        (* this name's hash — and that of any box calling it — changes *)
-        Hashtbl.reset hashes;
-        Hashtbl.reset skel_hashes;
-        let h = body_hash name in
+        Circuit.Defs.define defs name sub;
+        let h = Circuit.Defs.hash defs name in
         let gates' =
           match Hashtbl.find_opt optimized h with
           | Some gs ->

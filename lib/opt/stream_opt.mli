@@ -80,7 +80,7 @@ type memo
     recorded surviving sites; a body where an angle-dependent rewrite
     fired is pinned sensitive and always re-optimizes. Either way the
     output for a given body is independent of cache warmth. The memo is
-    mutex-protected and may be shared across sinks and domains. *)
+    a {!Quipper.Memo} and may be shared across sinks and domains. *)
 
 val memo : unit -> memo
 (** A fresh empty shareable skeleton memo. *)

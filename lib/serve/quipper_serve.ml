@@ -93,37 +93,17 @@ type tentry =
   | Tshared of entry
   | Tplain
 
-(* An LRU slot: [tick] is the owning service's logical clock at last
-   use; eviction removes the minimum. A linear min-scan is O(capacity)
-   but runs only on insertion into a full cache, where it is dwarfed by
-   the preparation that produced the entry. *)
-type 'v slot = { v : 'v; mutable tick : int }
-
 type t = {
   choice : backend_choice;
   optimize : bool;
-  capacity : int option;  (** request-cache bound; [None] = unbounded *)
-  tcapacity : int option;  (** template-cache bound *)
   boxes : Fuse.box_cache;
   memo : Stream_opt.memo;
       (** shared skeleton memo for [optimize] services: box bodies
           optimize once per skeleton and replay per angle vector *)
-  cache : (int64 * bool list, entry slot) Hashtbl.t;
-  inflight : (int64 * bool list, unit) Hashtbl.t;
-      (** keys some worker is currently preparing *)
-  tcache : (int64 * bool list, tentry slot) Hashtbl.t;
-  t_inflight : (int64 * bool list, unit) Hashtbl.t;
-  lock : Mutex.t;
-  cond : Condition.t;  (** signalled when an in-flight preparation settles *)
-  mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable prepares : int;  (** completed preparations (the expensive runs) *)
-  mutable evictions : int;
-  mutable t_hits : int;
-  mutable t_misses : int;
-  mutable t_evictions : int;
-  mutable specialized : int;  (** sweep points served by re-specialization *)
+  cache : (int64 * bool list, entry) Memo.t;
+  tcache : (int64 * bool list, tentry) Memo.t;
+  prepares : int Atomic.t;  (** completed preparations (the expensive runs) *)
+  specialized : int Atomic.t;  (** sweep points served by re-specialization *)
 }
 
 type stats = {
@@ -141,89 +121,31 @@ type stats = {
 
 let create ?(backend : backend_choice = `Auto) ?(optimize = false) ?capacity
     ?template_capacity () =
-  (match capacity with
-  | Some c when c < 1 -> invalid_arg "Quipper_serve.create: capacity < 1"
-  | _ -> ());
-  (match template_capacity with
-  | Some c when c < 1 -> invalid_arg "Quipper_serve.create: template_capacity < 1"
-  | _ -> ());
   {
     choice = backend;
     optimize;
-    capacity;
-    tcapacity = template_capacity;
     boxes = Fuse.box_cache ();
     memo = Stream_opt.memo ();
-    cache = Hashtbl.create 64;
-    inflight = Hashtbl.create 8;
-    tcache = Hashtbl.create 8;
-    t_inflight = Hashtbl.create 8;
-    lock = Mutex.create ();
-    cond = Condition.create ();
-    clock = 0;
-    hits = 0;
-    misses = 0;
-    prepares = 0;
-    evictions = 0;
-    t_hits = 0;
-    t_misses = 0;
-    t_evictions = 0;
-    specialized = 0;
+    cache = Memo.create ?capacity ();
+    tcache = Memo.create ?capacity:template_capacity ();
+    prepares = Atomic.make 0;
+    specialized = Atomic.make 0;
   }
 
 let stats t =
-  Mutex.lock t.lock;
-  let s =
-    {
-      hits = t.hits;
-      misses = t.misses;
-      prepares = t.prepares;
-      entries = Hashtbl.length t.cache;
-      evictions = t.evictions;
-      t_hits = t.t_hits;
-      t_misses = t.t_misses;
-      t_entries = Hashtbl.length t.tcache;
-      t_evictions = t.t_evictions;
-      specialized = t.specialized;
-    }
-  in
-  Mutex.unlock t.lock;
-  s
-
-(* ------------------------------------------------------------------ *)
-(* LRU plumbing (lock held by the caller)                              *)
-
-let bump t =
-  t.clock <- t.clock + 1;
-  t.clock
-
-let evict_min tbl =
-  let victim =
-    Hashtbl.fold
-      (fun k (s : _ slot) acc ->
-        match acc with
-        | Some (_, best) when best <= s.tick -> acc
-        | _ -> Some (k, s.tick))
-      tbl None
-  in
-  match victim with
-  | Some (k, _) ->
-      Hashtbl.remove tbl k;
-      true
-  | None -> false
-
-(* insert under a capacity bound, evicting least-recently-used entries
-   first; returns how many were evicted *)
-let bounded_add t tbl cap key value =
-  let evicted = ref 0 in
-  (match cap with
-  | Some cap ->
-      while Hashtbl.length tbl >= cap && evict_min tbl do
-        incr evicted
-      done
-  | None -> ());
-  Hashtbl.replace tbl key { v = value; tick = bump t };
-  !evicted
+  let c = Memo.stats t.cache and tc = Memo.stats t.tcache in
+  {
+    hits = c.Memo.hits;
+    misses = c.Memo.misses;
+    prepares = Atomic.get t.prepares;
+    entries = c.Memo.entries;
+    evictions = c.Memo.evictions;
+    t_hits = tc.Memo.hits;
+    t_misses = tc.Memo.misses;
+    t_entries = tc.Memo.entries;
+    t_evictions = tc.Memo.evictions;
+    specialized = Atomic.get t.specialized;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Preparation                                                         *)
@@ -307,65 +229,21 @@ let prepare t req =
   (* inlining leaves the outer interface untouched, so the output
      endpoints are [main]'s verbatim — no need to build the flat circuit *)
   let outputs = req.circuit.Circuit.main.Circuit.outputs in
-  match t.choice with
-  | `Clifford -> prepare_clifford req outputs
-  | `Fused -> prepare_fused t.boxes req outputs
-  | `Statevector -> prepare_sv req outputs
-  | `Auto -> (
-      (* cheapest capable backend: the polynomial-time tableau where the
-         gate set permits, the fused statevector pipeline otherwise *)
-      match prepare_clifford req outputs with
-      | e -> e
-      | exception Errors.Error (Errors.Simulation _) ->
-          prepare_fused t.boxes req outputs)
-
-(* Each key is prepared exactly once, however many workers race for it:
-   the first worker marks the key in-flight and prepares outside the
-   lock (preparation is a full simulation and must not serialize the
-   other workers); the rest block on the condition variable until the
-   preparation settles and then take the cached entry as a hit. If the
-   preparer dies, it clears the in-flight mark and wakes the waiters, so
-   one of them retries — a failure never wedges the key. *)
-let lookup_or_prepare t req =
-  let key = (Circuit.hash req.circuit, req.inputs) in
-  Mutex.lock t.lock;
-  let rec acquire () =
-    match Hashtbl.find_opt t.cache key with
-    | Some slot ->
-        t.hits <- t.hits + 1;
-        slot.tick <- bump t;
-        Mutex.unlock t.lock;
-        `Cached slot.v
-    | None ->
-        if Hashtbl.mem t.inflight key then begin
-          Condition.wait t.cond t.lock;
-          acquire ()
-        end
-        else begin
-          t.misses <- t.misses + 1;
-          Hashtbl.replace t.inflight key ();
-          Mutex.unlock t.lock;
-          `Prepare
-        end
+  let e =
+    match t.choice with
+    | `Clifford -> prepare_clifford req outputs
+    | `Fused -> prepare_fused t.boxes req outputs
+    | `Statevector -> prepare_sv req outputs
+    | `Auto -> (
+        (* cheapest capable backend: the polynomial-time tableau where the
+           gate set permits, the fused statevector pipeline otherwise *)
+        match prepare_clifford req outputs with
+        | e -> e
+        | exception Errors.Error (Errors.Simulation _) ->
+            prepare_fused t.boxes req outputs)
   in
-  match acquire () with
-  | `Cached e -> (e, true)
-  | `Prepare -> (
-      match prepare t req with
-      | e ->
-          Mutex.lock t.lock;
-          t.evictions <- t.evictions + bounded_add t t.cache t.capacity key e;
-          t.prepares <- t.prepares + 1;
-          Hashtbl.remove t.inflight key;
-          Condition.broadcast t.cond;
-          Mutex.unlock t.lock;
-          (e, false)
-      | exception exn ->
-          Mutex.lock t.lock;
-          Hashtbl.remove t.inflight key;
-          Condition.broadcast t.cond;
-          Mutex.unlock t.lock;
-          raise exn)
+  Atomic.incr t.prepares;
+  e
 
 (* ------------------------------------------------------------------ *)
 (* Serving                                                             *)
@@ -394,46 +272,35 @@ let draw_shots (entry : entry) ~shots ~seed ~cache_hit : reply =
     resimulated = !resimulated;
   }
 
+(* Each key is prepared exactly once, however many workers race for it
+   (the first prepares, the rest wait and count as hits), and a failed
+   preparation never wedges its key: see {!Memo}. *)
 let submit t req : reply =
   if req.shots < 0 then invalid_arg "Quipper_serve.submit: negative shots";
-  let entry, cache_hit = lookup_or_prepare t req in
+  let entry, cache_hit =
+    Memo.find_or_add t.cache (Circuit.hash req.circuit, req.inputs) (fun () ->
+        prepare t req)
+  in
   draw_shots entry ~shots:req.shots ~seed:req.seed ~cache_hit
 
-(* Fan [serve 0 .. serve (n-1)] across domains in contiguous
-   deterministic chunks: result [i] is a function of item [i] alone, so
+(* Serve items [0 .. n-1] across domains ({!Kernel.fan_out}), containing
+   each item's exceptions: result [i] is a function of item [i] alone, so
    the worker count changes wall-clock only, never outcomes. *)
-let fan_out n serve =
-  let workers = min (max 1 !Kernel.num_domains) n in
-  if workers <= 1 then
-    for i = 0 to n - 1 do
-      serve i
-    done
-  else begin
-    let chunk = (n + workers - 1) / workers in
-    let doms =
-      List.init workers (fun w ->
-          Domain.spawn (fun () ->
-              let lo = w * chunk and hi = min n ((w + 1) * chunk) in
-              for i = lo to hi - 1 do
-                serve i
-              done))
-    in
-    List.iter Domain.join doms
-  end
+let serve_each n (serve : int -> reply) : (reply, string) result list =
+  let out = Array.make n (Error "unserved") in
+  Kernel.fan_out n (fun lo hi ->
+      for i = lo to hi - 1 do
+        out.(i) <-
+          (match serve i with
+          | r -> Ok r
+          | exception Errors.Error e -> Error (Errors.to_string e)
+          | exception e -> Error (Printexc.to_string e))
+      done);
+  Array.to_list out
 
 let submit_batch t (reqs : request list) : (reply, string) result list =
   let reqs = Array.of_list reqs in
-  let n = Array.length reqs in
-  let out = Array.make n (Error "unserved") in
-  let serve i =
-    out.(i) <-
-      (match submit t reqs.(i) with
-      | r -> Ok r
-      | exception Errors.Error e -> Error (Errors.to_string e)
-      | exception e -> Error (Printexc.to_string e))
-  in
-  fan_out n serve;
-  Array.to_list out
+  serve_each (Array.length reqs) (fun i -> submit t reqs.(i))
 
 (* ------------------------------------------------------------------ *)
 (* Parameter sweeps                                                    *)
@@ -490,49 +357,6 @@ let prepare_template t (sw : sweep) (v0 : float array) : tentry =
             match fused () with te -> te | exception _ -> Tplain)
         | exception _ -> Tplain)
 
-(* Same once-per-key discipline as [lookup_or_prepare], on the template
-   cache: skeleton classes compile once however many sweeps race. *)
-let lookup_or_prepare_template t (sw : sweep) (v0 : float array) =
-  let key = (Circuit.hash_skeleton sw.sw_circuit, sw.sw_inputs) in
-  Mutex.lock t.lock;
-  let rec acquire () =
-    match Hashtbl.find_opt t.tcache key with
-    | Some slot ->
-        t.t_hits <- t.t_hits + 1;
-        slot.tick <- bump t;
-        Mutex.unlock t.lock;
-        `Cached slot.v
-    | None ->
-        if Hashtbl.mem t.t_inflight key then begin
-          Condition.wait t.cond t.lock;
-          acquire ()
-        end
-        else begin
-          t.t_misses <- t.t_misses + 1;
-          Hashtbl.replace t.t_inflight key ();
-          Mutex.unlock t.lock;
-          `Prepare
-        end
-  in
-  match acquire () with
-  | `Cached te -> (te, true)
-  | `Prepare ->
-      (* [prepare_template] never raises (failures degrade to Tplain),
-         but keep the key un-wedged against surprises all the same *)
-      let te = try prepare_template t sw v0 with exn ->
-        Mutex.lock t.lock;
-        Hashtbl.remove t.t_inflight key;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.lock;
-        raise exn
-      in
-      Mutex.lock t.lock;
-      t.t_evictions <- t.t_evictions + bounded_add t t.tcache t.tcapacity key te;
-      Hashtbl.remove t.t_inflight key;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.lock;
-      (te, false)
-
 (* Serve point [i] of a sweep: bit-identical to
    [submit t (List.nth (sweep_requests sw) i)]. [Tshared] draws from
    the one angle-independent clifford entry; [Tfused] re-specializes
@@ -540,8 +364,8 @@ let lookup_or_prepare_template t (sw : sweep) (v0 : float array) =
    bit-identical to re-running the substituted circuit at equal seeds);
    [Tplain] runs the ordinary preparation on the substituted circuit,
    bypassing the request cache. *)
-let serve_point t (sw : sweep) (tent : tentry) ~warm i (v : float array) : reply
-    =
+let serve_point (t : t) (sw : sweep) (tent : tentry) ~warm i (v : float array)
+    : reply =
   let seed = Rng.derive sw.sw_seed i in
   match tent with
   | Tshared e -> draw_shots e ~shots:sw.sw_shots ~seed ~cache_hit:warm
@@ -563,9 +387,7 @@ let serve_point t (sw : sweep) (tent : tentry) ~warm i (v : float array) : reply
               measure_fused st outputs);
         }
       in
-      Mutex.lock t.lock;
-      t.specialized <- t.specialized + 1;
-      Mutex.unlock t.lock;
+      Atomic.incr t.specialized;
       draw_shots entry ~shots:sw.sw_shots ~seed ~cache_hit:warm
   | Tplain ->
       let req =
@@ -576,11 +398,7 @@ let serve_point t (sw : sweep) (tent : tentry) ~warm i (v : float array) : reply
           seed;
         }
       in
-      let entry = prepare t req in
-      Mutex.lock t.lock;
-      t.prepares <- t.prepares + 1;
-      Mutex.unlock t.lock;
-      draw_shots entry ~shots:sw.sw_shots ~seed ~cache_hit:false
+      draw_shots (prepare t req) ~shots:sw.sw_shots ~seed ~cache_hit:false
 
 let submit_sweep t (sw : sweep) : (reply, string) result list =
   if sw.sw_shots < 0 then
@@ -588,19 +406,17 @@ let submit_sweep t (sw : sweep) : (reply, string) result list =
   match sw.sw_points with
   | [] -> []
   | v0 :: _ ->
-      let points = Array.of_list sw.sw_points in
-      let n = Array.length points in
-      let tent, warm = lookup_or_prepare_template t sw v0 in
-      let out = Array.make n (Error "unserved") in
-      let serve i =
-        out.(i) <-
-          (match serve_point t sw tent ~warm i points.(i) with
-          | r -> Ok r
-          | exception Errors.Error e -> Error (Errors.to_string e)
-          | exception e -> Error (Printexc.to_string e))
+      (* the template cache keeps the request cache's once-per-key
+         discipline: skeleton classes compile once however many sweeps
+         race *)
+      let tent, warm =
+        Memo.find_or_add t.tcache
+          (Circuit.hash_skeleton sw.sw_circuit, sw.sw_inputs)
+          (fun () -> prepare_template t sw v0)
       in
-      fan_out n serve;
-      Array.to_list out
+      let points = Array.of_list sw.sw_points in
+      serve_each (Array.length points) (fun i ->
+          serve_point t sw tent ~warm i points.(i))
 
 let naive t req : bool array array =
   (* same rewrite as [prepare], so the sampling-law comparison against

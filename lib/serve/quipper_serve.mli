@@ -72,8 +72,7 @@ type backend_choice = [ `Auto | `Clifford | `Fused | `Statevector ]
 
 type t
 (** A shot service: request cache + template cache + shared compiled-box
-    cache. Safe to share across domains; all internal state is
-    mutex-protected. *)
+    cache, each a {!Quipper.Memo}. Safe to share across domains. *)
 
 val create :
   ?backend:backend_choice ->
@@ -113,11 +112,12 @@ val submit : t -> request -> reply
     retries. *)
 
 val submit_batch : t -> request list -> (reply, string) result list
-(** Serve independent requests concurrently across up to
-    [!Quipper_sim.Kernel.num_domains] domains (deterministic contiguous
-    chunking — outcomes are independent of the worker count, {e and} of
-    whether [submit] or [submit_batch] served them). Exceptions are
-    contained per request: one failing request never loses a batch. *)
+(** Serve independent requests concurrently through
+    {!Quipper_sim.Kernel.fan_out} (deterministic contiguous chunking —
+    outcomes are independent of the worker count, {e and} of whether
+    [submit] or [submit_batch] served them; kernels reached inside a
+    worker run on that worker's domain). Exceptions are contained per
+    request: one failing request never loses a batch. *)
 
 val submit_sweep : t -> sweep -> (reply, string) result list
 (** Serve every point of a parameter sweep, fanned across domains like

@@ -670,29 +670,26 @@ let rec push_block fz (sp : bspec) (b : block) =
 (* Simulation state                                                    *)
 
 (* Compiled box programs, keyed (name, inv, body hash). The structural
-   hash — box-aware via [Circuit.hash_t]'s resolve hook — is part of the
-   key so that same-named boxes with different bodies can never alias:
-   redefining a name simply stops hitting the old entries, and a cache
-   shared between states (the shot service hands one cache to every
-   worker) stays sound even when two clients define different boxes
-   under the same name. The mutex guards table access only; compilation
-   runs outside it (a recursive [compiled_program] would deadlock
-   otherwise), so two domains may race to compile the same program —
-   both results are identical and the second insert is a no-op. *)
-type box_cache = {
-  tbl : (string * bool * int64, program) Hashtbl.t;
-  lock : Mutex.t;
-}
+   hash — box-aware via [Circuit.Defs.hash] — is part of the key so that
+   same-named boxes with different bodies can never alias: redefining a
+   name simply stops hitting the old entries, and a cache shared between
+   states (the shot service hands one cache to every worker) stays sound
+   even when two clients define different boxes under the same name.
+   Compilation runs outside the memo's lock, so a program's nested calls
+   compile through the same cache. *)
+type box_cache = (string * bool * int64, program) Memo.t
 
-let box_cache () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
+let box_cache () : box_cache = Memo.create ()
 
 type state = {
   sv : Statevector.state;
   cfg : config;
   st_stats : stats;
-  defs : (string, Circuit.subroutine) Hashtbl.t;
-  hashes : (string, int64) Hashtbl.t; (* resolved body-hash memo *)
+  defs : Circuit.Defs.t;
   compiled : box_cache;
+  mutable expanding : string list;
+      (* boxes whose compilation or expansion is under way, innermost
+         first: a call to one of them is a recursive call *)
   fresh : int ref; (* internal wires of replayed calls, negative *)
   fz : fuser; (* top-level fuser, emitting straight into [sv] *)
   sites_boxes : (string, site array) Hashtbl.t;
@@ -742,9 +739,9 @@ let create ?(config = default_config) ?boxes ?seed () =
       sv = Statevector.create ?seed ();
       cfg = config;
       st_stats = stats;
-      defs = Hashtbl.create 16;
-      hashes = Hashtbl.create 16;
+      defs = Circuit.Defs.create ();
       compiled = (match boxes with Some c -> c | None -> box_cache ());
+      expanding = [];
       fresh = ref (-1);
       fz =
         {
@@ -758,39 +755,23 @@ let create ?(config = default_config) ?boxes ?seed () =
   in
   st
 
-let define st name (sub : Circuit.subroutine) =
-  Hashtbl.replace st.defs name sub;
-  (* A redefinition changes this name's body hash — and the hash of any
-     box whose body calls it — so the memo resets wholesale. Compiled
-     programs need no explicit invalidation: their cache keys carry the
-     body hash, so the old entries simply stop being looked up. *)
-  Hashtbl.reset st.hashes
+(* Redefinition needs no explicit invalidation: compiled programs are
+   keyed by body hash, so the old entries simply stop being looked up. *)
+let define st name (sub : Circuit.subroutine) = Circuit.Defs.define st.defs name sub
 
-let body_hash st name : int64 =
-  (* Box-aware hash of [name]'s current definition, resolving nested
-     calls against this state's [defs] (memoized until the next
-     [define]). A name with no definition hashes to zero: the later
-     [find_def] raises where the seed code did. *)
-  let rec go n =
-    match Hashtbl.find_opt st.hashes n with
-    | Some h -> h
-    | None ->
-        Hashtbl.add st.hashes n 0L;
-        let h =
-          match Hashtbl.find_opt st.defs n with
-          | None -> 0L
-          | Some (s : Circuit.subroutine) ->
-              Circuit.hash_t ~resolve:(fun m -> Some (go m)) s.Circuit.circ
-        in
-        Hashtbl.replace st.hashes n h;
-        h
-  in
-  go name
+(* A call to a box from inside its own body would expand forever. The
+   check precedes any box-cache lookup: a shared cache cannot tell a
+   recursive call from a wait on the same box compiling elsewhere. *)
+let check_not_expanding st name =
+  if List.mem name st.expanding then
+    Errors.invalidf "recursive subroutine %s" name
 
-let find_def st name =
-  match Hashtbl.find_opt st.defs name with
-  | Some s -> s
-  | None -> Errors.raise_ (Unknown_subroutine name)
+(* Run [f] with [name]'s body under expansion. *)
+let expanding st name f =
+  check_not_expanding st name;
+  let outer = st.expanding in
+  st.expanding <- name :: outer;
+  Fun.protect ~finally:(fun () -> st.expanding <- outer) f
 
 (* Reversed, inverted, comment-free body for inverse calls — the same
    expansion as [Sink.unbox]/[Circuit.inline]. *)
@@ -829,7 +810,9 @@ let rec feed_site st fz (site : site) (g : Gate.t) =
   | Gate.Comment _ -> ()
   | Gate.Subroutine { name; inv; inputs; outputs; controls } ->
       if st.cfg.cache then replay st fz ~name ~inv ~inputs ~outputs ~controls
-      else expand st fz ~name ~inv ~inputs ~outputs ~controls
+      else
+        expanding st name (fun () ->
+            expand st fz ~name ~inv ~inputs ~outputs ~controls)
   | g when fusible g -> push_gate fz (gspec_of g site) g
   | g ->
       (* Barrier: measurement, Init/Term, classical logic, classically
@@ -900,7 +883,7 @@ and replay st fz ~name ~inv ~inputs ~outputs ~controls =
 (* Cache off: structural expansion (what [Sink.unbox] does), still
    fusing across the call boundary. *)
 and expand st fz ~name ~inv ~inputs ~outputs ~controls =
-  let { Circuit.circ; _ } = find_def st name in
+  let { Circuit.circ; _ } = Circuit.Defs.find st.defs name in
   let body = body_of circ inv in
   let d_in = if inv then circ.Circuit.outputs else circ.Circuit.inputs in
   let d_out = if inv then circ.Circuit.inputs else circ.Circuit.outputs in
@@ -930,78 +913,64 @@ and expand st fz ~name ~inv ~inputs ~outputs ~controls =
    programs into this one, so a call tree compiles bottom-up into flat
    block sequences. *)
 and compiled_program st ~name ~inv : program =
-  let key = (name, inv, body_hash st name) in
-  let cached =
-    Mutex.lock st.compiled.lock;
-    let p = Hashtbl.find_opt st.compiled.tbl key in
-    Mutex.unlock st.compiled.lock;
-    p
+  check_not_expanding st name;
+  let key = (name, inv, Circuit.Defs.hash st.defs name) in
+  fst
+    (Memo.find_or_add st.compiled key (fun () ->
+         expanding st name (fun () -> compile st ~name ~inv)))
+
+and compile st ~name ~inv : program =
+  let { Circuit.circ; _ } = Circuit.Defs.find st.defs name in
+  let body = body_of circ inv in
+  (* align the body's angle sites with [body_of]'s expansion:
+     forward bodies use the recorded row as-is; inverse bodies drop
+     comments, reverse, and toggle the negate flag on [Phase] sites
+     ([Gate.inverse] bakes the negated angle into the gate) *)
+  let sites =
+    match Hashtbl.find_opt st.sites_boxes name with
+    | None -> None
+    | Some fwd when not inv -> Some fwd
+    | Some fwd ->
+        let acc = ref [] in
+        Array.iteri
+          (fun i g ->
+            if not (Gate.is_comment g) then begin
+              let s =
+                match (g, fwd.(i)) with
+                | Gate.Phase _, Some (j, neg) -> Some (j, not neg)
+                | _, s -> s
+              in
+              acc := s :: !acc
+            end)
+          circ.Circuit.gates;
+        Some (Array.of_list !acc)
   in
-  match cached with
-  | Some p -> p
-  | None ->
-      let { Circuit.circ; _ } = find_def st name in
-      let body = body_of circ inv in
-      (* align the body's angle sites with [body_of]'s expansion:
-         forward bodies use the recorded row as-is; inverse bodies drop
-         comments, reverse, and toggle the negate flag on [Phase] sites
-         ([Gate.inverse] bakes the negated angle into the gate) *)
-      let sites =
-        match Hashtbl.find_opt st.sites_boxes name with
-        | None -> None
-        | Some fwd when not inv -> Some fwd
-        | Some fwd ->
-            let acc = ref [] in
-            Array.iteri
-              (fun i g ->
-                if not (Gate.is_comment g) then begin
-                  let s =
-                    match (g, fwd.(i)) with
-                    | Gate.Phase _, Some (j, neg) -> Some (j, not neg)
-                    | _, s -> s
-                  in
-                  acc := s :: !acc
-                end)
-              circ.Circuit.gates;
-            Some (Array.of_list !acc)
+  let acc = ref [] in
+  let cfz =
+    {
+      cfg = st.cfg;
+      emit = (fun b sp -> acc := (b, sp) :: !acc);
+      stats = st.st_stats;
+      pending = None;
+    }
+  in
+  Array.iteri
+    (fun i g ->
+      let site =
+        match sites with None -> None | Some arr -> arr.(i)
       in
-      let acc = ref [] in
-      let cfz =
-        {
-          cfg = st.cfg;
-          emit = (fun b sp -> acc := (b, sp) :: !acc);
-          stats = st.st_stats;
-          pending = None;
-        }
-      in
-      Array.iteri
-        (fun i g ->
-          let site =
-            match sites with None -> None | Some arr -> arr.(i)
-          in
-          feed_site st cfz site g)
-        body;
-      flush cfz;
-      let prog =
-        {
-          blocks = Array.of_list (List.rev !acc);
-          p_in = (if inv then circ.Circuit.outputs else circ.Circuit.inputs);
-          p_out = (if inv then circ.Circuit.inputs else circ.Circuit.outputs);
-        }
-      in
-      st.st_stats.boxes_compiled <- st.st_stats.boxes_compiled + 1;
-      Mutex.lock st.compiled.lock;
-      let prog =
-        (* a racing domain may have inserted first; keep its program so
-           every worker replays the same physical blocks *)
-        match Hashtbl.find_opt st.compiled.tbl key with
-        | Some p -> p
-        | None ->
-            Hashtbl.replace st.compiled.tbl key prog;
-            prog
-      in
-      Mutex.unlock st.compiled.lock;
-      prog
+      feed_site st cfz site g)
+    body;
+  flush cfz;
+  let prog =
+    {
+      blocks = Array.of_list (List.rev !acc);
+      p_in = (if inv then circ.Circuit.outputs else circ.Circuit.inputs);
+      p_out = (if inv then circ.Circuit.inputs else circ.Circuit.outputs);
+    }
+  in
+  st.st_stats.boxes_compiled <- st.st_stats.boxes_compiled + 1;
+  prog
 
 (* ------------------------------------------------------------------ *)
 (* Public surface                                                      *)

@@ -74,11 +74,11 @@ type box_cache
 (** A cache of compiled box programs, keyed
     [(name, inverse-flag, structural body hash)] — the hash is
     {!Circuit.hash_t} with nested calls resolved, so same-named boxes
-    with different bodies can never alias. The cache is
-    mutex-protected and may be shared between states running on
+    with different bodies can never alias. The cache is a
+    {!Quipper.Memo} and may be shared between states running on
     different domains (the shot service hands one cache to every
-    worker); compilation happens outside the lock, so a race compiles
-    twice and keeps the first insert. *)
+    worker): each program compiles once, however many states race for
+    it. *)
 
 val box_cache : unit -> box_cache
 (** A fresh empty shareable cache. *)
@@ -135,7 +135,9 @@ val run_circuit :
   ?config:config -> ?boxes:box_cache -> ?seed:int -> Circuit.b -> bool list -> state
 (** Run a generated hierarchical circuit on basis-state inputs,
     compiling and replaying its boxed subroutines ([boxes] shares the
-    compiled programs across runs — the shot service's warm path). *)
+    compiled programs across runs — the shot service's warm path).
+    A box that calls itself, directly or through other boxes, raises
+    [Invalid "recursive subroutine f"] when the call is reached. *)
 
 (** {2 Parameter-sweep templates}
 

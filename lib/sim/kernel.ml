@@ -63,20 +63,31 @@ let threshold =
 (** Minimum number of amplitudes before a kernel fans out across
     domains; below it, spawn overhead dominates. *)
 
+(* Set on every domain while it runs a fan-out chunk: a fan-out reached
+   from inside one runs inline, so nesting never multiplies domains. *)
+let in_fan_out = Domain.DLS.new_key (fun () -> false)
+
+let fan_out n (f : int -> int -> unit) =
+  let d = min !num_domains n in
+  if d <= 1 || Domain.DLS.get in_fan_out then f 0 n
+  else begin
+    let chunk k () =
+      Domain.DLS.set in_fan_out true;
+      Fun.protect
+        ~finally:(fun () -> Domain.DLS.set in_fan_out false)
+        (fun () -> f (k * n / d) ((k + 1) * n / d))
+    in
+    let workers = List.init (d - 1) (fun k -> Domain.spawn (chunk (k + 1))) in
+    let failure run = match run () with () -> None | exception e -> Some e in
+    let own = failure (chunk 0) in
+    (* join every worker before re-raising, so none outlives the call *)
+    own :: List.map (fun w -> failure (fun () -> Domain.join w)) workers
+    |> List.iter (Option.iter raise)
+  end
+
 (** [par_range n f] runs [f lo hi] over a partition of [0, n), in
     parallel when worthwhile. [f] must touch disjoint state per index. *)
-let par_range n (f : int -> int -> unit) =
-  let d = !num_domains in
-  if d <= 1 || n < !threshold then f 0 n
-  else begin
-    let chunk = n / d in
-    let workers =
-      Array.init (d - 1) (fun k ->
-          Domain.spawn (fun () -> f (k * chunk) ((k + 1) * chunk)))
-    in
-    f ((d - 1) * chunk) n;
-    Array.iter Domain.join workers
-  end
+let par_range n f = if n < !threshold then f 0 n else fan_out n f
 
 (* Expand a compressed index [j] (over the subspace where the target bit
    is 0) to the full index: insert a 0 bit at position [p], where

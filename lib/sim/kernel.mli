@@ -27,10 +27,20 @@ val threshold : int ref
     defaults to [2^19], overridden at startup by the environment
     variable [QUIPPER_PAR_THRESHOLD] when it holds a positive integer. *)
 
+val fan_out : int -> (int -> int -> unit) -> unit
+(** [fan_out n f] runs [f lo hi] over a partition of [0, n) into
+    [d = min !num_domains n] contiguous chunks, chunk [k] covering
+    [[k*n/d, (k+1)*n/d)]: the calling domain runs chunk 0 and one
+    spawned domain runs each other chunk. The partition depends on [n]
+    and [num_domains] alone. Called from inside a chunk of another
+    fan-out, it runs [f 0 n] inline on the calling domain instead: a
+    nested fan-out spawns nothing, so nesting never multiplies the
+    domain count. An exception from a chunk is re-raised once every
+    chunk has finished. *)
+
 val par_range : int -> (int -> int -> unit) -> unit
-(** [par_range n f] runs [f lo hi] over a partition of [0, n), in
-    parallel above the threshold. [f] must touch disjoint state per
-    index. *)
+(** [par_range n f] runs [f 0 n] below {!threshold} and [fan_out n f]
+    from it upwards. [f] must touch disjoint state per index. *)
 
 val kx :
   re:float array -> im:float array -> size:int -> bit:int -> cmask:int ->

@@ -27,4 +27,6 @@ let () =
       ("serve", Test_serve.suite);
       ("sweep", Test_sweep.suite);
       ("estimate", Test_estimate.suite);
+      ("memo", Test_memo.memo_suite);
+      ("fan_out", Test_memo.fan_out_suite);
     ]

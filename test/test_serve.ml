@@ -237,6 +237,59 @@ let test_single_prepare () =
   check "one miss, the rest hits" true
     (st.Serve.misses = 1 && st.Serve.hits = 15 && st.Serve.entries = 1)
 
+(* A box [f] whose one gate calls [f]: it expands to no finite circuit.
+   Every simulator must reject it at once with a structured error, and a
+   failed preparation must leave the service's key free for the next
+   submit. *)
+let test_recursive_box () =
+  let q = { Wire.wire = 0; ty = Wire.Q } in
+  let call =
+    Gate.Subroutine
+      { name = "f"; inv = false; inputs = [ 0 ]; outputs = [ 0 ]; controls = [] }
+  in
+  let body = { Circuit.inputs = [ q ]; gates = [| call |]; outputs = [ q ] } in
+  let b =
+    {
+      Circuit.main = body;
+      subs =
+        Circuit.Namespace.singleton "f"
+          { Circuit.circ = body; controllable = true };
+      sub_order = [ "f" ];
+    }
+  in
+  let rejects what run =
+    let t0 = Sys.time () in
+    let ok =
+      match run () with
+      | _ -> false
+      | exception Errors.Error (Errors.Invalid m) ->
+          m = "recursive subroutine f"
+          || Alcotest.failf "%s: unexpected message %S" what m
+    in
+    check (what ^ " raises Invalid") true ok;
+    check (what ^ " raises promptly") true (Sys.time () -. t0 < 1.0)
+  in
+  rejects "validate_b" (fun () -> Circuit.validate_b b);
+  rejects "Statevector" (fun () -> ignore (Sv.run_circuit b [ false ]));
+  rejects "Clifford" (fun () ->
+      ignore (Quipper_sim.Clifford.run_circuit b [ false ]));
+  rejects "Fused" (fun () -> ignore (Fuse.run_circuit b [ false ]));
+  rejects "Fused, box cache off" (fun () ->
+      ignore
+        (Fuse.run_circuit
+           ~config:{ Fuse.default_config with Fuse.cache = false }
+           b [ false ]));
+  let req = { Serve.circuit = b; inputs = [ false ]; shots = 1; seed = 1 } in
+  List.iter
+    (fun backend ->
+      let svc = Serve.create ~backend () in
+      rejects "submit" (fun () -> Serve.submit svc req);
+      rejects "submit again (key not wedged)" (fun () -> Serve.submit svc req);
+      let st = Serve.stats svc in
+      check "both submits prepared, nothing cached" true
+        (st.Serve.misses = 2 && st.Serve.entries = 0 && st.Serve.prepares = 0))
+    [ `Auto; `Fused ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_law_statevector;
@@ -257,4 +310,6 @@ let suite =
       test_noise_snapshot_path;
     Alcotest.test_case "cache: one prepare under 8-domain contention" `Quick
       test_single_prepare;
+    Alcotest.test_case "recursive box: every simulator raises, key not wedged"
+      `Quick test_recursive_box;
   ]
